@@ -43,7 +43,6 @@ from .grid_analysis import (
     QUENCH_CONSTANT,
     Distances,
     OperatingState,
-    Potentials,
     ReliabilityProbabilities,
     StateClassification,
     ThreatLevel,
@@ -52,7 +51,6 @@ from .grid_analysis import (
     critical_distance,
     elliptic_distance,
     energy_potential,
-    frequency_potential,
     hyperbolic_distance,
     quenched_probability,
     star_reliability,
@@ -63,9 +61,6 @@ from .grid_analysis import (
 from .grid_model import (
     GridModel,
     SeparabilityRoot,
-    build_model,
-    first_pair,
-    frequencies,
     second_pair,
     separability,
 )
@@ -81,7 +76,6 @@ from .io import (
 from .lyapunov import (
     LyapunovExponents,
     build_matrix,
-    compute_exponents,
     permanent,
     permanent_expansion,
 )
@@ -119,7 +113,6 @@ __all__ = [
     "NonPositivePotential",
     "OperatingState",
     "ParseError",
-    "Potentials",
     "ProbabilityChain",
     "QUENCH_CONSTANT",
     "ReliabilityProbabilities",
@@ -142,19 +135,14 @@ __all__ = [
     "ZeroPotential",
     "ZeroTime",
     "build_matrix",
-    "build_model",
     "classify_grid",
     "classify_market",
-    "compute_exponents",
     "critical_distance",
     "distance_chain",
     "elliptic_distance",
     "emit_report",
     "energy_potential",
     "false_alarm",
-    "first_pair",
-    "frequencies",
-    "frequency_potential",
     "hyperbolic_distance",
     "miss_probability",
     "parse_records",

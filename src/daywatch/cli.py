@@ -15,11 +15,13 @@ import csv
 import sys
 
 from .checks import run_all
-from .config import OUTPUT_FORMATS, UP_LOG_MODES, RunConfig
+from .config import RunConfig
 from .errors import ParseError, ValidationError
+from .grid_analysis import UP_LOG_MODES
 from .inputs import FIELD_ORDER
 from .io import (
     INPUT_FORMATS,
+    OUTPUT_FORMATS,
     SweepSpec,
     emit_report,
     parse_records,

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-UP_LOG_MODES = ("strict", "absolute")
-OUTPUT_FORMATS = ("json", "text")
+from .grid_analysis import UP_LOG_MODES
 
 
 @dataclass(frozen=True)
@@ -16,12 +15,10 @@ class RunConfig:
     up_log_mode         handling of non-positive potentials in the
                         quenched probability: strict reports an error,
                         absolute takes logarithms of magnitudes
-    output_format       report serialization format
     """
 
     equality_tolerance: float = 1e-6
     up_log_mode: str = "strict"
-    output_format: str = "json"
 
     def __post_init__(self) -> None:
         if not self.equality_tolerance > 0:
@@ -30,6 +27,3 @@ class RunConfig:
         if self.up_log_mode not in UP_LOG_MODES:
             raise ValueError(f"up_log_mode must be one of {UP_LOG_MODES}, "
                              f"got {self.up_log_mode!r}")
-        if self.output_format not in OUTPUT_FORMATS:
-            raise ValueError(f"output_format must be one of {OUTPUT_FORMATS}, "
-                             f"got {self.output_format!r}")

@@ -87,15 +87,6 @@ class ThreatLevel(str, Enum):
 
 
 @dataclass(frozen=True)
-class Potentials:
-    v1: float | None
-    w1: float | None
-    u_s: float | None
-    p_x: float | None
-    u_p: float | None
-
-
-@dataclass(frozen=True)
 class Distances:
     r_e: float | None
     r_h: float | None
@@ -107,13 +98,6 @@ class ReliabilityProbabilities:
     p_s: float | None
     p_t: float | None
     p_g: float | None
-
-    @property
-    def out_of_range(self) -> tuple[str, ...]:
-        """Names of the defined probabilities lying outside [0, 1]."""
-        triplet = (("p_s", self.p_s), ("p_t", self.p_t), ("p_g", self.p_g))
-        return tuple(name for name, value in triplet
-                     if value is not None and not 0 <= value <= 1)
 
 
 @dataclass(frozen=True)
@@ -163,13 +147,6 @@ def frequency_from_auxiliary(p_x: float, v1: float, t1: float) -> float:
     if t1 == 0:
         raise ZeroTime("grid-analysis", "u_p", "t1 is zero")
     return -(0.5 + 1 / (4 * v1)) * (1 + p_x * v1 / t1) * math.exp(v1 * t1)
-
-
-def frequency_potential(e1: float, omega1: float, omega2: float,
-                        v1: float, t1: float) -> tuple[float, float]:
-    """(p_x, u_p) in one step; the pipeline uses the two halves separately."""
-    p_x = auxiliary_potential(e1, omega1, omega2)
-    return p_x, frequency_from_auxiliary(p_x, v1, t1)
 
 
 def trade_volume(u_s: float) -> float:

@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 from .errors import NegativeDiscriminant, RhoBelowTwo, ZeroTime
-from .lyapunov import LyapunovExponents
 
 
 @dataclass(frozen=True)
@@ -54,13 +53,6 @@ def expected_energy(l_p1: float, l_p2: float) -> float:
 def expected_time(l_p1: float, l_p2: float, l_y1: float, l_y2: float) -> float:
     """t1 = (1/4)(1 + ((l_y1 + l_p1)/2) ((l_y2 + l_p2)/2))."""
     return 0.25 * (1.0 + ((l_y1 + l_p1) / 2) * ((l_y2 + l_p2) / 2))
-
-
-def first_pair(exponents: LyapunovExponents) -> tuple[float, float]:
-    e1 = expected_energy(exponents.l_p1, exponents.l_p2)
-    t1 = expected_time(exponents.l_p1, exponents.l_p2,
-                       exponents.l_y1, exponents.l_y2)
-    return e1, t1
 
 
 def separability(l_p1: float) -> SeparabilityRoot:
@@ -102,22 +94,3 @@ def second_frequency(l_y1: float, t2: float) -> float:
     if t2 == 0:
         raise ZeroTime("grid-model", "omega2", "t2 is zero")
     return 2 * l_y1 / t2
-
-
-def frequencies(exponents: LyapunovExponents, t1: float,
-                t2: float) -> tuple[float, float]:
-    return (first_frequency(exponents.l_p1, t1),
-            second_frequency(exponents.l_y1, t2))
-
-
-def assemble(e1: float, e2: float, omega1: float, omega2: float,
-             t1: float, t2: float) -> GridModel:
-    return GridModel(e1=e1, e2=e2, omega1=omega1, omega2=omega2, t1=t1, t2=t2)
-
-
-def build_model(exponents: LyapunovExponents) -> GridModel:
-    """Full model in one call; run_watch uses the fine-grained steps."""
-    e1, t1 = first_pair(exponents)
-    e2, t2 = second_pair(separability(exponents.l_p1))
-    omega1, omega2 = frequencies(exponents, t1, t2)
-    return assemble(e1, e2, omega1, omega2, t1, t2)

@@ -27,6 +27,7 @@ from .watch import WatchReport, run_watch
 CSV_HEADER = ("date",) + FIELD_ORDER
 
 INPUT_FORMATS = ("csv", "json")
+OUTPUT_FORMATS = ("json", "text")
 
 # Trace keys of each report block, in serialization order.
 _EXPONENT_KEYS = ("t6_1_s", "t6_2_s", "t16_s", "t24_s", "perm_a",
@@ -205,7 +206,8 @@ def emit_report(report: WatchReport, format: str = "json") -> str:
                           allow_nan=False) + "\n"
     if format == "text":
         return _emit_text(report)
-    raise ValueError(f"format must be 'json' or 'text', got {format!r}")
+    raise ValueError(f"format must be one of {OUTPUT_FORMATS}, "
+                     f"got {format!r}")
 
 
 @dataclass(frozen=True)

@@ -102,10 +102,6 @@ def permanent_exponent(perm_a: float) -> float:
     return math.log(perm_a) ** 2 / 10 + 1.0
 
 
-def potential_exponents(delta: float, perm_a: float) -> tuple[float, float]:
-    return error_exponent(delta), permanent_exponent(perm_a)
-
-
 def price_exponent(c_0: float) -> float:
     """l_y1 = exp(c_0 / 25)."""
     try:
@@ -126,10 +122,6 @@ def droop_exponent(k_c: float) -> float:
         ) from None
 
 
-def free_poisson_exponents(c_0: float, k_c: float) -> tuple[float, float]:
-    return price_exponent(c_0), droop_exponent(k_c)
-
-
 @dataclass(frozen=True)
 class LyapunovExponents:
     """Both exponent pairs plus per(A), retained for diagnostics."""
@@ -139,12 +131,3 @@ class LyapunovExponents:
     l_y1: float
     l_y2: float
     perm_a: float
-
-
-def compute_exponents(delta: float, c_0: float, k_c: float,
-                      scaled: ScaledTimes) -> LyapunovExponents:
-    perm_a = permanent(build_matrix(scaled))
-    l_p1, l_p2 = potential_exponents(delta, perm_a)
-    l_y1, l_y2 = free_poisson_exponents(c_0, k_c)
-    return LyapunovExponents(l_p1=l_p1, l_p2=l_p2, l_y1=l_y1, l_y2=l_y2,
-                             perm_a=perm_a)

@@ -5,12 +5,13 @@ run_watch drives the whole computation for one input record:
     inputs -> Lyapunov exponents -> grid model -> potentials,
     distances, reliabilities -> states -> watch probabilities
 
-Each quantity is attempted independently once its inputs exist.  A
-domain failure produces a structured ErrorRecord and a None in the
-trace; everything not transitively dependent on the failed quantity is
-still computed.  No error short-circuits the run and nothing non-finite
-ever reaches the report: any inf or NaN is converted to an error record
-on the spot.
+run_watch is one step per quantity, in pipeline order.  A step runs
+once all its arguments exist and is skipped, leaving None, when any of
+them is None.  A domain failure produces a structured ErrorRecord and a
+None in the trace; everything not transitively dependent on the failed
+quantity is still computed.  No error short-circuits the run and
+nothing non-finite ever reaches the report: any inf or NaN is converted
+to an error record on the spot.
 
 The two watch probabilities carry a documented anomaly:
 
@@ -42,11 +43,8 @@ from .errors import (
 )
 from .grid_analysis import (
     Distances,
-    OperatingState,
-    Potentials,
     ReliabilityProbabilities,
     StateClassification,
-    ThreatLevel,
 )
 from .inputs import InputParameters
 
@@ -205,16 +203,19 @@ def miss_probability(probabilities: ReliabilityProbabilities, k_c: float,
     return _miss_from_chain(probability_chain(probabilities, k_c), v_m)
 
 
-def _attempt(errors: list[ErrorRecord], stage: str, quantity: str,
-             compute: Callable[[], object]):
-    """Run one step; on domain failure record the reason and yield None.
+def _step(errors: list[ErrorRecord], stage: str, quantity: str,
+          function: Callable[..., object], *args):
+    """Run one step once all its arguments exist, else yield None.
 
-    Also converts float-machinery escapes (overflow, division by zero,
-    inf/NaN results) into NonFiniteResult records so a report can never
-    carry a non-finite number.
+    On domain failure record the reason and yield None.  Also converts
+    float-machinery escapes (overflow, division by zero, inf/NaN
+    results) into NonFiniteResult records so a report can never carry a
+    non-finite number.
     """
+    if None in args:
+        return None
     try:
-        value = compute()
+        value = function(*args)
     except ComputationError as exc:
         errors.append(exc.record())
         return None
@@ -231,6 +232,11 @@ def _attempt(errors: list[ErrorRecord], stage: str, quantity: str,
     return value
 
 
+def _defined(function: Callable[..., object], *args):
+    """function(*args) for a step that cannot fail, None if an argument is."""
+    return None if None in args else function(*args)
+
+
 def run_watch(params: InputParameters,
               config: RunConfig | None = None) -> WatchReport:
     """Run the full day-ahead pipeline for one validated record.
@@ -241,201 +247,100 @@ def run_watch(params: InputParameters,
     if config is None:
         config = RunConfig()
     inputs.validate(params)
-
     errors: list[ErrorRecord] = []
-    trace: dict[str, float | None] = {}
-
-    def attempt(stage, quantity, compute):
-        return _attempt(errors, stage, quantity, compute)
-
-    trace["t6_1"] = params.t6_1
-    trace["t6_2"] = params.t6_2
-    trace["t16"] = params.t16
-    trace["t24"] = params.t24
-    trace["k_c"] = params.k_c
-    trace["c_0"] = params.c_0
-    trace["delta"] = params.delta
 
     scaled = inputs.scale_times(params)
-    trace["t6_1_s"] = scaled.t6_1_s
-    trace["t6_2_s"] = scaled.t6_2_s
-    trace["t16_s"] = scaled.t16_s
-    trace["t24_s"] = scaled.t24_s
-
-    matrix = lyapunov.build_matrix(scaled)
-    perm_a = attempt("lyapunov", "perm_a",
-                     lambda: lyapunov.permanent(matrix))
-    trace["perm_a"] = perm_a
-
+    perm_a = _step(errors, "lyapunov", "perm_a", lyapunov.permanent,
+                   lyapunov.build_matrix(scaled))
     l_p1 = lyapunov.error_exponent(params.delta)
-    l_p2 = None
-    if perm_a is not None:
-        l_p2 = attempt("lyapunov", "l_p2",
-                       lambda: lyapunov.permanent_exponent(perm_a))
-    l_y1 = attempt("lyapunov", "l_y1",
-                   lambda: lyapunov.price_exponent(params.c_0))
-    l_y2 = attempt("lyapunov", "l_y2",
-                   lambda: lyapunov.droop_exponent(params.k_c))
-    trace["l_p1"] = l_p1
-    trace["l_p2"] = l_p2
-    trace["l_y1"] = l_y1
-    trace["l_y2"] = l_y2
+    l_p2 = _step(errors, "lyapunov", "l_p2", lyapunov.permanent_exponent,
+                 perm_a)
+    l_y1 = _step(errors, "lyapunov", "l_y1", lyapunov.price_exponent,
+                 params.c_0)
+    l_y2 = _step(errors, "lyapunov", "l_y2", lyapunov.droop_exponent,
+                 params.k_c)
+    exponents = _defined(lyapunov.LyapunovExponents, l_p1, l_p2, l_y1, l_y2,
+                         perm_a)
 
-    exponents = None
-    if None not in (l_p2, l_y1, l_y2):
-        exponents = lyapunov.LyapunovExponents(
-            l_p1=l_p1, l_p2=l_p2, l_y1=l_y1, l_y2=l_y2, perm_a=perm_a)
+    root = _step(errors, "grid-model", "rho", grid_model.separability, l_p1)
+    e1 = _step(errors, "grid-model", "e1", grid_model.expected_energy,
+               l_p1, l_p2)
+    e2, t2 = _step(errors, "grid-model", "e2", grid_model.second_pair,
+                   root) or (None, None)
+    t1 = _step(errors, "grid-model", "t1", grid_model.expected_time,
+               l_p1, l_p2, l_y1, l_y2)
+    omega1 = _step(errors, "grid-model", "omega1",
+                   grid_model.first_frequency, l_p1, t1)
+    omega2 = _step(errors, "grid-model", "omega2",
+                   grid_model.second_frequency, l_y1, t2)
+    model = _defined(grid_model.GridModel, e1, e2, omega1, omega2, t1, t2)
 
-    root = attempt("grid-model", "rho",
-                   lambda: grid_model.separability(l_p1))
-    trace["rho"] = root.rho if root is not None else None
-    trace["discriminant"] = root.discriminant if root is not None else None
+    v1, w1, u_s = _step(errors, "grid-analysis", "v1",
+                        grid_analysis.energy_potential, exponents,
+                        t1) or (None, None, None)
+    p_x = _step(errors, "grid-analysis", "p_x",
+                grid_analysis.auxiliary_potential, e1, omega1, omega2)
+    u_p = _step(errors, "grid-analysis", "u_p",
+                grid_analysis.frequency_from_auxiliary, p_x, v1, t1)
+    v_m = _step(errors, "grid-analysis", "trade_volume_pct",
+                grid_analysis.trade_volume, u_s)
 
-    e1 = None
-    if l_p2 is not None:
-        e1 = attempt("grid-model", "e1",
-                     lambda: grid_model.expected_energy(l_p1, l_p2))
-    second = None
-    if root is not None:
-        second = attempt("grid-model", "e2",
-                         lambda: grid_model.second_pair(root))
-    e2, t2 = second if second is not None else (None, None)
+    r_e = _step(errors, "grid-analysis", "r_e",
+                grid_analysis.elliptic_distance, u_s, u_p)
+    r_h = _step(errors, "grid-analysis", "r_h",
+                grid_analysis.hyperbolic_distance, model)
+    r_c = _step(errors, "grid-analysis", "r_c",
+                grid_analysis.critical_distance, v1, l_p1)
+    distances = _defined(Distances, r_e, r_h, r_c)
+    market_state = _defined(grid_analysis.classify_market, distances)
 
-    t1 = None
-    if exponents is not None:
-        t1 = attempt("grid-model", "t1",
-                     lambda: grid_model.expected_time(l_p1, l_p2, l_y1, l_y2))
+    p_s = _step(errors, "grid-analysis", "p_s",
+                grid_analysis.star_reliability, v1)
+    p_t = _step(errors, "grid-analysis", "p_t",
+                grid_analysis.triangle_reliability, v1)
+    p_g = _step(errors, "grid-analysis", "p_g",
+                grid_analysis.quenched_probability, u_s, u_p, e1,
+                config.up_log_mode)
+    grid_state = _defined(grid_analysis.classify_grid,
+                          _defined(ReliabilityProbabilities, p_s, p_t, p_g),
+                          config.equality_tolerance)
+    threat, paper_gap = _defined(grid_analysis.threat_level, market_state,
+                                 grid_state) or (None, False)
 
-    omega1 = None
-    if t1 is not None:
-        omega1 = attempt("grid-model", "omega1",
-                         lambda: grid_model.first_frequency(l_p1, t1))
-    omega2 = None
-    if t2 is not None and l_y1 is not None:
-        omega2 = attempt("grid-model", "omega2",
-                         lambda: grid_model.second_frequency(l_y1, t2))
+    chain = _defined(distance_chain, distances)
+    r_small, r_mid, r_big = (None, None, None) if chain is None else (
+        chain.r_small, chain.r_mid, chain.r_big)
+    p_f_raw, p_f, pf_out_of_range = _step(
+        errors, "watch", "p_false_alarm_raw", _false_alarm_from_chain,
+        chain) or (None, None, False)
 
-    trace["e1"] = e1
-    trace["e2"] = e2
-    trace["omega1"] = omega1
-    trace["omega2"] = omega2
-    trace["t1"] = t1
-    trace["t2"] = t2
+    # the miss chain is built only once the trade volume it weighs exists
+    p1, p2, p3 = (None if v_m is None else _defined(
+        _half_chain, p_s, p_t, p_g)) or (None, None, None)
+    p4 = _step(errors, "watch", "p_miss_raw", _fourth_probability, p3,
+               params.k_c)
+    p_m_raw, p_m, pm_out_of_range = _step(
+        errors, "watch", "p_miss_raw", _miss_from_chain,
+        _defined(ProbabilityChain, p1, p2, p3, p4), v_m) or (None, None, False)
 
-    model = None
-    if None not in (e1, e2, omega1, omega2, t1, t2):
-        model = grid_model.assemble(e1, e2, omega1, omega2, t1, t2)
-
-    v1 = w1 = u_s = None
-    if exponents is not None and t1 is not None:
-        triple = attempt("grid-analysis", "v1",
-                         lambda: grid_analysis.energy_potential(exponents, t1))
-        if triple is not None:
-            v1, w1, u_s = triple
-
-    p_x = None
-    if None not in (e1, omega1, omega2):
-        p_x = attempt("grid-analysis", "p_x",
-                      lambda: grid_analysis.auxiliary_potential(
-                          e1, omega1, omega2))
-    u_p = None
-    if None not in (p_x, v1, t1):
-        u_p = attempt("grid-analysis", "u_p",
-                      lambda: grid_analysis.frequency_from_auxiliary(
-                          p_x, v1, t1))
-
-    trace["v1"] = v1
-    trace["w1"] = w1
-    trace["u_s"] = u_s
-    trace["p_x"] = p_x
-    trace["u_p"] = u_p
-
-    v_m = None
-    if u_s is not None:
-        v_m = attempt("grid-analysis", "trade_volume_pct",
-                      lambda: grid_analysis.trade_volume(u_s))
-
-    r_e = None
-    if None not in (u_s, u_p):
-        r_e = attempt("grid-analysis", "r_e",
-                      lambda: grid_analysis.elliptic_distance(u_s, u_p))
-    r_h = None
-    if model is not None:
-        r_h = attempt("grid-analysis", "r_h",
-                      lambda: grid_analysis.hyperbolic_distance(model))
-    r_c = None
-    if v1 is not None:
-        r_c = attempt("grid-analysis", "r_c",
-                      lambda: grid_analysis.critical_distance(v1, l_p1))
-    trace["r_e"] = r_e
-    trace["r_h"] = r_h
-    trace["r_c"] = r_c
-
-    market_state = None
-    if None not in (r_e, r_h, r_c):
-        market_state = grid_analysis.classify_market(
-            Distances(r_e=r_e, r_h=r_h, r_c=r_c))
-
-    p_s = p_t = None
-    if v1 is not None:
-        p_s = attempt("grid-analysis", "p_s",
-                      lambda: grid_analysis.star_reliability(v1))
-        p_t = attempt("grid-analysis", "p_t",
-                      lambda: grid_analysis.triangle_reliability(v1))
-    p_g = None
-    if None not in (u_s, u_p, e1):
-        p_g = attempt("grid-analysis", "p_g",
-                      lambda: grid_analysis.quenched_probability(
-                          u_s, u_p, e1, config.up_log_mode))
-    trace["p_s"] = p_s
-    trace["p_t"] = p_t
-    trace["p_g"] = p_g
-
-    grid_state = None
-    if None not in (p_s, p_t, p_g):
-        grid_state = grid_analysis.classify_grid(
-            ReliabilityProbabilities(p_s=p_s, p_t=p_t, p_g=p_g),
-            config.equality_tolerance)
-
-    threat: ThreatLevel | None = None
-    paper_gap = False
-    if market_state is not None and grid_state is not None:
-        threat, paper_gap = grid_analysis.threat_level(market_state,
-                                                       grid_state)
-
-    r_small = r_mid = r_big = None
-    p_f_raw = p_f = None
-    pf_out_of_range = False
-    if None not in (r_e, r_h, r_c):
-        chain = distance_chain(Distances(r_e=r_e, r_h=r_h, r_c=r_c))
-        r_small, r_mid, r_big = chain.r_small, chain.r_mid, chain.r_big
-        alarm = attempt("watch", "p_false_alarm_raw",
-                        lambda: _false_alarm_from_chain(chain))
-        if alarm is not None:
-            p_f_raw, p_f, pf_out_of_range = alarm
-    trace["r_small"] = r_small
-    trace["r_mid"] = r_mid
-    trace["r_big"] = r_big
-
-    p1 = p2 = p3 = p4 = None
-    p_m_raw = p_m = None
-    pm_out_of_range = False
-    if None not in (p_s, p_t, p_g, v_m):
-        p1, p2, p3 = _half_chain(p_s, p_t, p_g)
-        p4 = attempt("watch", "p_miss_raw",
-                     lambda: _fourth_probability(p3, params.k_c))
-        if p4 is not None:
-            miss = attempt("watch", "p_miss_raw",
-                           lambda: _miss_from_chain(
-                               ProbabilityChain(p1=p1, p2=p2, p3=p3, p4=p4),
-                               v_m))
-            if miss is not None:
-                p_m_raw, p_m, pm_out_of_range = miss
-    trace["p1"] = p1
-    trace["p2"] = p2
-    trace["p3"] = p3
-    trace["p4"] = p4
-
+    trace = {
+        "t6_1": params.t6_1, "t6_2": params.t6_2, "t16": params.t16,
+        "t24": params.t24, "k_c": params.k_c, "c_0": params.c_0,
+        "delta": params.delta,
+        "t6_1_s": scaled.t6_1_s, "t6_2_s": scaled.t6_2_s,
+        "t16_s": scaled.t16_s, "t24_s": scaled.t24_s,
+        "perm_a": perm_a,
+        "l_p1": l_p1, "l_p2": l_p2, "l_y1": l_y1, "l_y2": l_y2,
+        "rho": None if root is None else root.rho,
+        "discriminant": None if root is None else root.discriminant,
+        "e1": e1, "e2": e2, "omega1": omega1, "omega2": omega2,
+        "t1": t1, "t2": t2,
+        "v1": v1, "w1": w1, "u_s": u_s, "p_x": p_x, "u_p": u_p,
+        "r_e": r_e, "r_h": r_h, "r_c": r_c,
+        "p_s": p_s, "p_t": p_t, "p_g": p_g,
+        "r_small": r_small, "r_mid": r_mid, "r_big": r_big,
+        "p1": p1, "p2": p2, "p3": p3, "p4": p4,
+    }
     flags = ReportFlags(
         paper_gap_flag=paper_gap,
         valid_percentage=v_m is not None and 0 <= v_m <= 100,
@@ -462,20 +367,3 @@ def run_watch(params: InputParameters,
         trace=trace,
         errors=tuple(errors),
     )
-
-
-def potentials_of(report: WatchReport) -> Potentials:
-    """Potentials block of a report as a typed record."""
-    t = report.trace
-    return Potentials(v1=t["v1"], w1=t["w1"], u_s=t["u_s"],
-                      p_x=t["p_x"], u_p=t["u_p"])
-
-
-def distances_of(report: WatchReport) -> Distances:
-    t = report.trace
-    return Distances(r_e=t["r_e"], r_h=t["r_h"], r_c=t["r_c"])
-
-
-def probabilities_of(report: WatchReport) -> ReliabilityProbabilities:
-    t = report.trace
-    return ReliabilityProbabilities(p_s=t["p_s"], p_t=t["p_t"], p_g=t["p_g"])

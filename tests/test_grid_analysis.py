@@ -33,7 +33,6 @@ from daywatch.grid_analysis import (
     elliptic_distance,
     energy_potential,
     frequency_from_auxiliary,
-    frequency_potential,
     hyperbolic_distance,
     quenched_probability,
     star_reliability,
@@ -95,11 +94,6 @@ class TestFrequencyPotential:
     def test_frozen_value(self):
         value = frequency_from_auxiliary(p_x=0.0, v1=0.5, t1=1.0)
         assert value == pytest.approx(-math.exp(0.5), rel=1e-15)
-
-    def test_combined_helper_matches_halves(self):
-        p_x, u_p = frequency_potential(2.0, 1.0, 1.0, v1=0.5, t1=1.0)
-        assert p_x == auxiliary_potential(2.0, 1.0, 1.0)
-        assert u_p == frequency_from_auxiliary(p_x, 0.5, 1.0)
 
     def test_guards(self):
         with pytest.raises(ZeroImpulse) as excinfo:
@@ -337,15 +331,6 @@ class TestGridClassifier:
         with pytest.raises(ValueError):
             classify_grid(ReliabilityProbabilities(1.0, 1.0, 1.0),
                           tolerance=bad)
-
-    def test_out_of_range_names(self):
-        assert ReliabilityProbabilities(1.2, 0.5, -0.1).out_of_range == (
-            "p_s", "p_g"
-        )
-        assert ReliabilityProbabilities(0.0, 1.0, 0.5).out_of_range == ()
-        assert ReliabilityProbabilities(None, 7.0, None).out_of_range == (
-            "p_t",
-        )
 
 
 class TestThreatTable:

@@ -7,20 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from daywatch import (
-    GridModel,
     LyapunovExponents,
     RhoBelowTwo,
     ZeroTime,
-    compute_exponents,
-    scale_times,
+    run_watch,
 )
 from daywatch.grid_model import (
     SeparabilityRoot,
-    build_model,
     expected_energy,
     expected_time,
     first_frequency,
-    first_pair,
     second_frequency,
     second_pair,
     separability,
@@ -42,10 +38,10 @@ class TestFirstPair:
         assert value == pytest.approx(2.2990593487583673, rel=1e-12)
 
     def test_first_pair_bundles_both(self):
-        e1, t1 = first_pair(
-            exponents(l_p1=1.035, l_p2=1.4, l_y1=math.exp(2.0),
-                      l_y2=1.0 + math.exp(0.4))
-        )
+        lyap = exponents(l_p1=1.035, l_p2=1.4, l_y1=math.exp(2.0),
+                         l_y2=1.0 + math.exp(0.4))
+        e1 = expected_energy(lyap.l_p1, lyap.l_p2)
+        t1 = expected_time(lyap.l_p1, lyap.l_p2, lyap.l_y1, lyap.l_y2)
         assert e1 == pytest.approx(1.449, rel=1e-12)
         assert t1 == pytest.approx(2.2990593487583673, rel=1e-12)
 
@@ -122,14 +118,10 @@ class TestFrequencies:
 
 
 def test_build_model_baseline(baseline):
-    lyap = compute_exponents(
-        baseline.delta, baseline.c_0, baseline.k_c, scale_times(baseline)
-    )
-    model = build_model(lyap)
-    assert isinstance(model, GridModel)
-    assert model.e1 == pytest.approx(2.3433590185587128, rel=1e-12)
-    assert model.e2 == pytest.approx(3.8887340013945537, rel=1e-12)
-    assert model.omega1 == pytest.approx(0.7516288224883328, rel=1e-12)
-    assert model.omega2 == pytest.approx(5.746814738024684, rel=1e-12)
-    assert model.t1 == pytest.approx(2.7540189227271568, rel=1e-12)
-    assert model.t2 == pytest.approx(2.5715309909121737, rel=1e-12)
+    trace = run_watch(baseline).trace
+    assert trace["e1"] == pytest.approx(2.3433590185587128, rel=1e-12)
+    assert trace["e2"] == pytest.approx(3.8887340013945537, rel=1e-12)
+    assert trace["omega1"] == pytest.approx(0.7516288224883328, rel=1e-12)
+    assert trace["omega2"] == pytest.approx(5.746814738024684, rel=1e-12)
+    assert trace["t1"] == pytest.approx(2.7540189227271568, rel=1e-12)
+    assert trace["t2"] == pytest.approx(2.5715309909121737, rel=1e-12)

@@ -1,13 +1,16 @@
 """Parsing, serialization, sweeps, and the command-line surface."""
 
 import json
+import os
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import daywatch
 from daywatch import (
     InputParameters,
     ParseError,
@@ -411,9 +414,15 @@ class TestCli:
             assert name in out
 
     def test_module_entry_point(self):
+        # the child imports the same daywatch as this test, whether pytest
+        # found it through PYTHONPATH or through its own pythonpath setting
+        source = str(Path(daywatch.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [source,
+                                             os.environ.get("PYTHONPATH")]))
         completed = subprocess.run(
             [sys.executable, "-m", "daywatch", "check"],
             capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert completed.returncode == 0
         assert completed.stdout.count("PASS") == 3

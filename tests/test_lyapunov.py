@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from daywatch import (
     ExponentialOverflow,
     NonPositivePermanent,
-    compute_exponents,
+    run_watch,
     scale_times,
 )
 from daywatch.lyapunov import (
@@ -169,11 +169,9 @@ class TestExponents:
         assert excinfo.value.value == 1e6
 
     def test_compute_exponents_end_to_end(self, baseline):
-        exponents = compute_exponents(
-            baseline.delta, baseline.c_0, baseline.k_c, scale_times(baseline)
-        )
-        assert exponents.perm_a == pytest.approx(35.0032, rel=1e-12)
-        assert exponents.l_p1 == pytest.approx(1.035, rel=1e-12)
-        assert exponents.l_p2 == pytest.approx(2.264114993776534, rel=1e-12)
-        assert exponents.l_y1 == pytest.approx(7.38905609893065, rel=1e-12)
-        assert exponents.l_y2 == pytest.approx(2.4918246976412703, rel=1e-12)
+        trace = run_watch(baseline).trace
+        assert trace["perm_a"] == pytest.approx(35.0032, rel=1e-12)
+        assert trace["l_p1"] == pytest.approx(1.035, rel=1e-12)
+        assert trace["l_p2"] == pytest.approx(2.264114993776534, rel=1e-12)
+        assert trace["l_y1"] == pytest.approx(7.38905609893065, rel=1e-12)
+        assert trace["l_y2"] == pytest.approx(2.4918246976412703, rel=1e-12)

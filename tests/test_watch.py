@@ -22,6 +22,7 @@ from daywatch import (
     ZeroP3,
     emit_report,
     grid_analysis,
+    grid_model,
     lyapunov,
     run_watch,
 )
@@ -46,6 +47,11 @@ TRACE_KEYS = (
     "r_small", "r_mid", "r_big",
     "p1", "p2", "p3", "p4",
 )
+POTENTIALS = ("v1", "w1", "u_s", "p_x", "u_p")
+DISTANCES = ("r_e", "r_h", "r_c")
+PROBABILITIES = ("p_s", "p_t", "p_g")
+CHAIN = ("r_small", "r_mid", "r_big")
+MISS = ("p1", "p2", "p3", "p4")
 
 distinct_triples = st.tuples(
     st.floats(min_value=0.01, max_value=100.0),
@@ -423,6 +429,78 @@ class TestFaultInjection:
         assert report.trace["p4"] is None
         assert report.p_miss_raw is None
         assert report.p_miss is None
+
+    @pytest.mark.parametrize(
+        ("module", "name", "stage", "quantity", "undefined"),
+        [
+            (lyapunov, "permanent", "lyapunov", "perm_a",
+             {"perm_a", "l_p2", "e1", "t1", "omega1", *POTENTIALS,
+              *DISTANCES, *PROBABILITIES, *CHAIN, *MISS}),
+            (lyapunov, "permanent_exponent", "lyapunov", "l_p2",
+             {"l_p2", "e1", "t1", "omega1", *POTENTIALS, *DISTANCES,
+              *PROBABILITIES, *CHAIN, *MISS}),
+            (lyapunov, "price_exponent", "lyapunov", "l_y1",
+             {"l_y1", "t1", "omega1", "omega2", *POTENTIALS, *DISTANCES,
+              *PROBABILITIES, *CHAIN, *MISS}),
+            (lyapunov, "droop_exponent", "lyapunov", "l_y2",
+             {"l_y2", "t1", "omega1", *POTENTIALS, *DISTANCES,
+              *PROBABILITIES, *CHAIN, *MISS}),
+            (grid_model, "separability", "grid-model", "rho",
+             {"rho", "discriminant", "e2", "t2", "omega2", "p_x", "u_p",
+              "r_e", "r_h", "p_g", *CHAIN, *MISS}),
+            (grid_model, "expected_energy", "grid-model", "e1",
+             {"e1", "p_x", "u_p", "r_e", "r_h", "p_g", *CHAIN, *MISS}),
+            (grid_model, "second_pair", "grid-model", "e2",
+             {"e2", "t2", "omega2", "p_x", "u_p", "r_e", "r_h", "p_g",
+              *CHAIN, *MISS}),
+            (grid_model, "expected_time", "grid-model", "t1",
+             {"t1", "omega1", *POTENTIALS, *DISTANCES, *PROBABILITIES,
+              *CHAIN, *MISS}),
+            (grid_model, "first_frequency", "grid-model", "omega1",
+             {"omega1", "p_x", "u_p", "r_e", "r_h", "p_g", *CHAIN, *MISS}),
+            (grid_model, "second_frequency", "grid-model", "omega2",
+             {"omega2", "p_x", "u_p", "r_e", "r_h", "p_g", *CHAIN, *MISS}),
+            (grid_analysis, "energy_potential", "grid-analysis", "v1",
+             {"v1", "w1", "u_s", "u_p", "r_e", "r_c", *PROBABILITIES,
+              *CHAIN, *MISS}),
+            (grid_analysis, "auxiliary_potential", "grid-analysis", "p_x",
+             {"p_x", "u_p", "r_e", "p_g", *CHAIN, *MISS}),
+            (grid_analysis, "frequency_from_auxiliary", "grid-analysis",
+             "u_p", {"u_p", "r_e", "p_g", *CHAIN, *MISS}),
+            (grid_analysis, "trade_volume", "grid-analysis",
+             "trade_volume_pct", set(MISS)),
+            (grid_analysis, "elliptic_distance", "grid-analysis", "r_e",
+             {"r_e", *CHAIN}),
+            (grid_analysis, "hyperbolic_distance", "grid-analysis", "r_h",
+             {"r_h", *CHAIN}),
+            (grid_analysis, "critical_distance", "grid-analysis", "r_c",
+             {"r_c", *CHAIN}),
+            (grid_analysis, "star_reliability", "grid-analysis", "p_s",
+             {"p_s", *MISS}),
+            (grid_analysis, "triangle_reliability", "grid-analysis", "p_t",
+             {"p_t", *MISS}),
+            (grid_analysis, "quenched_probability", "grid-analysis", "p_g",
+             {"p_g", *MISS}),
+        ],
+    )
+    def test_non_finite_step_blocks_exactly_its_dependents(
+            self, clean, monkeypatch, module, name, stage, quantity,
+            undefined):
+        real = getattr(module, name)
+
+        def non_finite(*args):
+            value = real(*args)
+            if isinstance(value, tuple):
+                return (float("inf"),) + value[1:]
+            return float("inf")
+
+        monkeypatch.setattr(module, name, non_finite)
+        report = run_watch(clean)
+        assert [(e.error, e.stage, e.quantity) for e in report.errors] == [
+            ("NonFiniteResult", stage, quantity)
+        ]
+        assert {key for key, value in report.trace.items()
+                if value is None} == undefined
 
     def test_non_finite_result_is_contained(self, clean, monkeypatch):
         monkeypatch.setattr(
