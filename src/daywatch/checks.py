@@ -116,7 +116,10 @@ def check_golden() -> CheckResult:
     report = run_watch(BASELINE)
     payload = report_as_dict(report)
     problems = payload_mismatches(payload, load_golden())
-    if emit_report(report) != emit_report(run_watch(BASELINE)):
+    emitted = emit_report(report)
+    if json.loads(emitted) != payload:
+        problems.append("emitted JSON does not decode to the report")
+    if emitted != emit_report(run_watch(BASELINE)):
         problems.append("repeated runs are not byte-identical")
     detail = "matches frozen report" if not problems \
         else "; ".join(problems[:4])

@@ -25,12 +25,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import NegativeDiscriminant, RhoBelowTwo, ZeroTime
 
 
-@dataclass(frozen=True)
-class SeparabilityRoot:
+class SeparabilityRoot(NamedTuple):
+    # a tuple, so that the pipeline's finiteness check sees both fields
     rho: float
     discriminant: float
 

@@ -9,6 +9,16 @@ Report serialization is deterministic: fixed key order, shortest
 round-trip decimals, and undefined quantities as null next to a flag or
 error record saying why.  Serializing the same report twice yields
 byte-identical text.
+
+One table, _LAYOUT, lists every report section and its keys in order.
+report_as_dict, the JSON report and the text report are all built from
+it.  Both emitters fill a %-template made once at import from the
+layout, with the report's leaf values gathered into one flat tuple.  The
+JSON is byte-identical to json.dumps(report_as_dict(report), indent=2,
+allow_nan=False) + "\n": every leaf is written by the rules of the
+stdlib encoder, and a non-finite float raises ValueError.  json.dumps is
+not called because any indent makes CPython 3.11 fall back to its
+pure-Python encoder, which took longer than computing the report.
 """
 
 from __future__ import annotations
@@ -17,12 +27,16 @@ import csv
 import dataclasses
 import io as _io
 import json
+import math
+import operator
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _encode_string
 
 from .config import RunConfig
-from .errors import ParseError, ValidationError
+from .errors import ErrorRecord, ParseError, ValidationError
+from .grid_analysis import StateClassification
 from .inputs import FIELD_ORDER, InputParameters, validate
-from .watch import WatchReport, run_watch
+from .watch import ReportFlags, WatchReport, run_watch
 
 CSV_HEADER = ("date",) + FIELD_ORDER
 
@@ -39,6 +53,29 @@ _DISTANCE_KEYS = ("r_e", "r_h", "r_c")
 _PROBABILITY_KEYS = ("p_s", "p_t", "p_g")
 _CHAIN_KEYS = ("r_small", "r_mid", "r_big")
 _MISS_KEYS = ("p1", "p2", "p3", "p4")
+# Attributes of the report's states, and of each of its error records.
+_STATE_KEYS = ("market_state", "grid_state", "threat_level")
+_ERROR_KEYS = tuple(field.name for field in dataclasses.fields(ErrorRecord))
+
+# Every section of a report and its keys, in serialization order.  Each
+# key is one scalar leaf, except "errors", which holds the error records.
+_LAYOUT = (
+    ("input", ("date",) + FIELD_ORDER),
+    ("exponents", _EXPONENT_KEYS),
+    ("grid_model", _MODEL_KEYS),
+    ("potentials", _POTENTIAL_KEYS),
+    ("distances", _DISTANCE_KEYS),
+    ("probabilities", _PROBABILITY_KEYS),
+    ("states", _STATE_KEYS),
+    ("watch", ("trade_volume_pct",) + _CHAIN_KEYS
+     + ("p_false_alarm_raw", "p_false_alarm") + _MISS_KEYS
+     + ("p_miss_raw", "p_miss", "errors")),
+    ("flags", tuple(field.name for field in dataclasses.fields(ReportFlags))),
+)
+_SLOTS = tuple(key for _, keys in _LAYOUT for key in keys)
+_ERRORS_SLOT = _SLOTS.index("errors")
+_leaves = operator.itemgetter(*(key for key in _SLOTS if key != "errors"))
+_error_fields = operator.attrgetter(*_ERROR_KEYS)
 
 
 def _record_from_strings(row_number: int, date: str,
@@ -138,72 +175,102 @@ def parse_records(text: str, format: str = "csv") -> list[InputParameters]:
     return _parse_json(text)
 
 
+def _state_values(states: StateClassification) -> dict[str, str | None]:
+    """Each state's string value by name, None where it is undefined."""
+    return {key: None if (state := getattr(states, key)) is None
+            else state.value for key in _STATE_KEYS}
+
+
+def _values(report: WatchReport) -> tuple:
+    """The report's leaf values in _LAYOUT order, without the errors."""
+    # each leaf is looked up by its key among the trace, the report's own
+    # fields, the record, the states and the flags; only the inputs occur
+    # twice, and the record's copy wins
+    return _leaves({**report.trace, **vars(report), **vars(report.params),
+                    **_state_values(report.states), **vars(report.flags)})
+
+
 def report_as_dict(report: WatchReport) -> dict:
     """The report as nested primitives, in serialization order."""
-    trace = report.trace
+    values = iter(_values(report))
+    errors = [record.as_dict() for record in report.errors]
+    return {section: {key: errors if key == "errors" else next(values)
+                      for key in keys}
+            for section, keys in _LAYOUT}
 
-    def block(keys):
-        return {key: trace[key] for key in keys}
 
-    states = report.states
-    return {
-        "input": {
-            "date": report.params.date,
-            **{name: getattr(report.params, name) for name in FIELD_ORDER},
-        },
-        "exponents": block(_EXPONENT_KEYS),
-        "grid_model": block(_MODEL_KEYS),
-        "potentials": block(_POTENTIAL_KEYS),
-        "distances": block(_DISTANCE_KEYS),
-        "probabilities": block(_PROBABILITY_KEYS),
-        "states": {
-            "market_state": None if states.market_state is None
-            else states.market_state.value,
-            "grid_state": None if states.grid_state is None
-            else states.grid_state.value,
-            "threat_level": None if states.threat_level is None
-            else states.threat_level.value,
-        },
-        "watch": {
-            "trade_volume_pct": report.trade_volume_pct,
-            **block(_CHAIN_KEYS),
-            "p_false_alarm_raw": report.p_false_alarm_raw,
-            "p_false_alarm": report.p_false_alarm,
-            **block(_MISS_KEYS),
-            "p_miss_raw": report.p_miss_raw,
-            "p_miss": report.p_miss,
-            "errors": [record.as_dict() for record in report.errors],
-        },
-        "flags": report.flags.as_dict(),
-    }
+def _json_scalar(value) -> str:
+    """One leaf exactly as json.dumps(..., allow_nan=False) writes it."""
+    # no float is also a str or an int, so testing floats first is safe
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return float.__repr__(value)
+        raise ValueError("Out of range float values are not JSON "
+                         f"compliant: {value!r}")
+    if value is None:
+        return "null"
+    if isinstance(value, str):
+        return _encode_string(value)
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} "
+                    "is not JSON serializable")
+
+
+def _json_fields(keys: tuple[str, ...], indent: str) -> str:
+    return ",\n".join(f"{indent}{_encode_string(key)}: %s" for key in keys)
+
+
+# json.dumps(report_as_dict(report), indent=2) with every leaf a %s slot
+_JSON_TEMPLATE = "{\n" + ",\n".join(
+    f"  {_encode_string(section)}: {{\n{_json_fields(keys, '    ')}\n  }}"
+    for section, keys in _LAYOUT) + "\n}\n"
+_JSON_ERROR = "      {\n" + _json_fields(_ERROR_KEYS, "        ") + "\n      }"
+
+_TEXT_TEMPLATE = "".join(
+    section + "\n" + "".join("%s" if key == "errors" else f"  {key:<18} %s\n"
+                             for key in keys)
+    for section, keys in _LAYOUT) + "degraded: %s\n"
+
+
+def _json_errors(errors: tuple[ErrorRecord, ...]) -> str:
+    if not errors:
+        return "[]"
+    return "[\n" + ",\n".join(
+        _JSON_ERROR % tuple(map(_json_scalar, _error_fields(record)))
+        for record in errors) + "\n    ]"
+
+
+def _emit_json(report: WatchReport) -> str:
+    slots = list(map(_json_scalar, _values(report)))
+    slots.insert(_ERRORS_SLOT, _json_errors(report.errors))
+    return _JSON_TEMPLATE % tuple(slots)
+
+
+def _text_errors(errors: tuple[ErrorRecord, ...]) -> str:
+    if not errors:
+        return ""
+    return "  errors\n" + "".join(
+        f"    {record.error} in {record.stage}/{record.quantity}: "
+        f"{record.detail}\n" for record in errors)
 
 
 def _emit_text(report: WatchReport) -> str:
-    payload = report_as_dict(report)
-    lines = []
-    for section, fields in payload.items():
-        lines.append(section)
-        for name, value in fields.items():
-            if name == "errors":
-                if not value:
-                    continue
-                lines.append("  errors")
-                for record in value:
-                    lines.append(f"    {record['error']} in "
-                                 f"{record['stage']}/{record['quantity']}: "
-                                 f"{record['detail']}")
-                continue
-            shown = "undefined" if value is None else value
-            lines.append(f"  {name:<18} {shown}")
-    lines.append(f"degraded: {report.degraded}")
-    return "\n".join(lines) + "\n"
+    slots = ["undefined" if value is None else value
+             for value in _values(report)]
+    slots.insert(_ERRORS_SLOT, _text_errors(report.errors))
+    slots.append(report.degraded)
+    return _TEXT_TEMPLATE % tuple(slots)
 
 
 def emit_report(report: WatchReport, format: str = "json") -> str:
     """Serialize one report; identical reports serialize identically."""
     if format == "json":
-        return json.dumps(report_as_dict(report), indent=2,
-                          allow_nan=False) + "\n"
+        return _emit_json(report)
     if format == "text":
         return _emit_text(report)
     raise ValueError(f"format must be one of {OUTPUT_FORMATS}, "
@@ -271,9 +338,7 @@ def sweep_rows(entries: list[SweepEntry]) -> list[dict]:
             rows.append({
                 "value": entry.value,
                 "trade_volume_pct": None,
-                "market_state": None,
-                "grid_state": None,
-                "threat_level": None,
+                **dict.fromkeys(_STATE_KEYS),
                 "p_false_alarm": None,
                 "p_miss": None,
                 "degraded": True,
@@ -281,16 +346,10 @@ def sweep_rows(entries: list[SweepEntry]) -> list[dict]:
             })
             continue
         report = entry.report
-        states = report.states
         rows.append({
             "value": entry.value,
             "trade_volume_pct": report.trade_volume_pct,
-            "market_state": None if states.market_state is None
-            else states.market_state.value,
-            "grid_state": None if states.grid_state is None
-            else states.grid_state.value,
-            "threat_level": None if states.threat_level is None
-            else states.threat_level.value,
+            **_state_values(report.states),
             "p_false_alarm": report.p_false_alarm,
             "p_miss": report.p_miss,
             "degraded": report.degraded,

@@ -92,16 +92,6 @@ class ReportFlags:
     pm_out_of_range: bool
     pg_undefined: bool
 
-    def as_dict(self) -> dict[str, bool]:
-        return {
-            "paper_gap_flag": self.paper_gap_flag,
-            "valid_percentage": self.valid_percentage,
-            "v1_in_unit_interval": self.v1_in_unit_interval,
-            "pf_out_of_range": self.pf_out_of_range,
-            "pm_out_of_range": self.pm_out_of_range,
-            "pg_undefined": self.pg_undefined,
-        }
-
 
 @dataclass(frozen=True)
 class WatchReport:
@@ -210,7 +200,8 @@ def _step(errors: list[ErrorRecord], stage: str, quantity: str,
     On domain failure record the reason and yield None.  Also converts
     float-machinery escapes (overflow, division by zero, inf/NaN
     results) into NonFiniteResult records so a report can never carry a
-    non-finite number.
+    non-finite number.  Every step returns a float or a tuple of values
+    (SeparabilityRoot is a NamedTuple), so each returned float is checked.
     """
     if None in args:
         return None

@@ -1,7 +1,10 @@
 """Parsing, serialization, sweeps, and the command-line surface."""
 
+import dataclasses
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 from importlib import resources
@@ -9,6 +12,8 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import daywatch
 from daywatch import (
@@ -23,8 +28,10 @@ from daywatch import (
     sweep,
 )
 from daywatch.cli import main
+from daywatch.errors import ErrorRecord
+from daywatch.grid_analysis import UP_LOG_MODES
 from daywatch.inputs import FIELD_ORDER
-from daywatch.io import CSV_HEADER, sweep_rows
+from daywatch.io import CSV_HEADER, report_as_dict, sweep_rows
 
 BLOCKS = ("input", "exponents", "grid_model", "potentials", "distances",
           "probabilities", "states", "watch", "flags")
@@ -34,9 +41,78 @@ WATCH_KEYS = ("trade_volume_pct", "r_small", "r_mid", "r_big",
               "p_miss_raw", "p_miss", "errors")
 
 
+# Trace keys left undefined when the separability root is not finite.
+SEPARABILITY_DEPENDENTS = {"rho", "discriminant", "e2", "t2", "omega2", "p_x",
+                           "u_p", "r_e", "r_h", "p_g", "r_small", "r_mid",
+                           "r_big", "p1", "p2", "p3", "p4"}
+
+# Floats at the edges of the double range and the sign of zero.
+EDGE_FLOATS = (-0.0, 5e-324, 1.7976931348623157e308)
+
+
 def payload_of(record, **config):
     report = run_watch(record, RunConfig(**config) if config else None)
     return json.loads(emit_report(report))
+
+
+def documents_of(out):
+    """The JSON documents of a `daywatch run` output, in order."""
+    decoder = json.JSONDecoder()
+    documents, index = [], 0
+    while index < len(out):
+        payload, end = decoder.raw_decode(out, index)
+        documents.append(payload)
+        index = end + (1 if out[end:end + 1] == "\n" else 0)
+    return documents
+
+
+def reference_json(report):
+    """What emit_report must write: the stdlib encoder on the dict form."""
+    return json.dumps(report_as_dict(report), indent=2, allow_nan=False) + "\n"
+
+
+def reference_text(report):
+    """The text report as a walk over the dict form."""
+    lines = []
+    for section, fields in report_as_dict(report).items():
+        lines.append(section)
+        for name, value in fields.items():
+            if name == "errors":
+                if not value:
+                    continue
+                lines.append("  errors")
+                for record in value:
+                    lines.append(f"    {record['error']} in "
+                                 f"{record['stage']}/{record['quantity']}: "
+                                 f"{record['detail']}")
+                continue
+            shown = "undefined" if value is None else value
+            lines.append(f"  {name:<18} {shown}")
+    lines.append(f"degraded: {report.degraded}")
+    return "\n".join(lines) + "\n"
+
+
+def with_leaf(report, section, key, value):
+    """The report with one numeric leaf of its dict form replaced."""
+    if section == "input":
+        return dataclasses.replace(
+            report, params=dataclasses.replace(report.params, **{key: value}))
+    if key in report.trace:
+        return dataclasses.replace(report, trace={**report.trace, key: value})
+    return dataclasses.replace(report, **{key: value})
+
+
+times = st.one_of(st.floats(min_value=0.01, max_value=60.0),
+                  st.integers(min_value=1, max_value=60),
+                  st.sampled_from(EDGE_FLOATS[1:]))
+amounts = st.one_of(st.floats(min_value=0.0, max_value=100.0),
+                    st.integers(min_value=0, max_value=100),
+                    st.sampled_from(EDGE_FLOATS))
+dates = st.none() | st.text(st.characters()
+                            | st.sampled_from('"\\\x00\x1f\x7f\u2028é'))
+records = st.builds(InputParameters, t6_1=times, t6_2=times, t16=times,
+                    t24=times, k_c=amounts, c_0=amounts, delta=amounts,
+                    date=dates)
 
 
 class TestParseCsv:
@@ -222,6 +298,55 @@ class TestSerialization:
             emit_report(run_watch(clean), format="yaml")
 
 
+class TestByteIdentity:
+    """emit_report writes what the stdlib encoder writes, byte for byte."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(records, st.sampled_from(UP_LOG_MODES))
+    def test_reports_match_the_reference(self, record, mode):
+        report = run_watch(record, RunConfig(up_log_mode=mode))
+        assert emit_report(report) == reference_json(report)
+        assert emit_report(report, "text") == reference_text(report)
+
+    @settings(max_examples=100, deadline=None)
+    @given(records, st.sampled_from(FIELD_ORDER), st.booleans())
+    def test_bool_input_fields_match_the_reference(self, record, name, flag):
+        # validation rejects bools, so they reach a report only by hand
+        report = with_leaf(run_watch(record), "input", name, flag)
+        assert emit_report(report) == reference_json(report)
+        assert emit_report(report, "text") == reference_text(report)
+
+    @pytest.mark.parametrize("value", EDGE_FLOATS)
+    def test_edge_floats_in_every_leaf_match_the_reference(self, clean,
+                                                           value):
+        report = run_watch(clean)
+        for section, fields in report_as_dict(report).items():
+            if section in ("states", "flags"):
+                continue
+            for key in fields:
+                if key in ("date", "errors"):
+                    continue
+                edited = with_leaf(report, section, key, value)
+                assert emit_report(edited) == reference_json(edited)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_leaf_is_refused(self, baseline, value):
+        report = run_watch(baseline)
+        edited = [dataclasses.replace(report, errors=(ErrorRecord(
+            "watch", "p_miss_raw", "NegativeMissRadicand",
+            "miss radicand is negative", value),))]
+        for section, fields in report_as_dict(report).items():
+            if section in ("states", "flags"):
+                continue
+            edited.extend(with_leaf(report, section, key, value)
+                          for key in fields if key not in ("date", "errors"))
+        for report in edited:
+            with pytest.raises(ValueError):
+                emit_report(report)
+            with pytest.raises(ValueError):
+                reference_json(report)
+
+
 class TestSweep:
     @pytest.mark.parametrize(
         ("kwargs", "fragment"),
@@ -323,6 +448,35 @@ class TestCli:
             documents.append(payload)
             index = end + (1 if out[end:end + 1] == "\n" else 0)
         assert [d["input"]["date"] for d in documents] == ["a", "b"]
+
+    def test_overflowing_separability_root_is_contained(self, tmp_path,
+                                                        capsys):
+        # 3*(2 + l_p1)**2 overflows to inf for delta near 1e154
+        path = self.write(
+            tmp_path, "overflow.csv",
+            "date,t6_1,t6_2,t16,t24,k_c,c_0,delta\n"
+            "a,5.191,18.6704,18.3502,7.7265,28.7326,2.2e-73,8.1e153\n"
+            "b,8,8,12,24,2,30,0.5\n",
+        )
+        code = main(["run", "--input", path])
+        first, second = documents_of(capsys.readouterr().out)
+        assert code == 2
+        assert (first["watch"]["errors"][0]["error"],
+                first["watch"]["errors"][0]["stage"],
+                first["watch"]["errors"][0]["quantity"]) == (
+            "NonFiniteResult", "grid-model", "rho")
+        leaves = {key: value for fields in first.values()
+                  for key, value in fields.items()}
+        assert all(leaves[key] is None for key in SEPARABILITY_DEPENDENTS)
+        assert second["input"]["date"] == "b"
+        assert second["grid_model"]["rho"] is not None
+
+        code = main(["run", "--input", path, "--output", "text"])
+        text = capsys.readouterr().out
+        assert code == 2
+        assert text.count("degraded: ") == 2
+        assert "  rho                undefined\n" in text
+        assert re.search(r" -?inf$", text, re.MULTILINE) is None
 
     def test_run_text_output(self, tmp_path, capsys):
         code = main(["run", "--input", self.baseline_csv(tmp_path),

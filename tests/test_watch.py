@@ -16,6 +16,7 @@ from daywatch import (
     OperatingState,
     ReliabilityProbabilities,
     RunConfig,
+    SeparabilityRoot,
     ThreatLevel,
     ValidationError,
     ZeroMiddle,
@@ -501,6 +502,22 @@ class TestFaultInjection:
         ]
         assert {key for key, value in report.trace.items()
                 if value is None} == undefined
+
+    def test_non_finite_separability_root_is_contained(self, clean,
+                                                       monkeypatch):
+        monkeypatch.setattr(
+            grid_model, "separability",
+            lambda l_p1: SeparabilityRoot(rho=math.inf, discriminant=math.inf),
+        )
+        report = run_watch(clean)
+        assert [(e.error, e.stage, e.quantity) for e in report.errors] == [
+            ("NonFiniteResult", "grid-model", "rho")
+        ]
+        assert {key for key, value in report.trace.items()
+                if value is None} == {
+            "rho", "discriminant", "e2", "t2", "omega2", "p_x", "u_p", "r_e",
+            "r_h", "p_g", *CHAIN, *MISS}
+        emit_report(report)
 
     def test_non_finite_result_is_contained(self, clean, monkeypatch):
         monkeypatch.setattr(
