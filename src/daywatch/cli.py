@@ -17,16 +17,17 @@ import sys
 from .checks import run_all
 from .config import RunConfig
 from .errors import ParseError, ValidationError
-from .grid_analysis import UP_LOG_MODES
+from .grid_analysis import DEFAULT_TOLERANCE, DEFAULT_UP_LOG_MODE, UP_LOG_MODES
 from .inputs import FIELD_ORDER
 from .io import (
     INPUT_FORMATS,
     OUTPUT_FORMATS,
+    SWEEP_COLUMNS,
     SweepSpec,
     emit_report,
     parse_records,
     sweep,
-    sweep_rows,
+    sweep_row,
 )
 from .watch import run_watch
 
@@ -76,10 +77,11 @@ def _add_input_arguments(subparser: argparse.ArgumentParser) -> None:
 
 
 def _add_config_arguments(subparser: argparse.ArgumentParser) -> None:
-    subparser.add_argument("--tolerance", type=float, default=1e-6,
+    subparser.add_argument("--tolerance", type=float,
+                           default=DEFAULT_TOLERANCE,
                            help="relative tolerance of grid-state equality")
     subparser.add_argument("--up-log-mode", dest="up_log_mode",
-                           choices=UP_LOG_MODES, default="strict",
+                           choices=UP_LOG_MODES, default=DEFAULT_UP_LOG_MODE,
                            help="handling of non-positive potentials in "
                                 "the quenched probability")
 
@@ -89,12 +91,11 @@ def _load_records(args):
     try:
         with open(args.input, "r", encoding="utf-8") as handle:
             text = handle.read()
+        return parse_records(text, args.format)
     except OSError as exc:
         print(f"daywatch: cannot read {args.input}: {exc}", file=sys.stderr)
         return EXIT_UNPARSEABLE
-    try:
-        return parse_records(text, args.format)
-    except ParseError as exc:
+    except (UnicodeDecodeError, ParseError) as exc:
         print(f"daywatch: unparseable input: {exc}", file=sys.stderr)
         return EXIT_UNPARSEABLE
     except ValidationError as exc:
@@ -139,15 +140,14 @@ def _cmd_sweep(args) -> int:
     except ValueError as exc:
         print(f"daywatch: {exc}", file=sys.stderr)
         return EXIT_DEGRADED
-    entries = sweep(records[0], spec, config)
-    rows = sweep_rows(entries)
     writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(rows[0].keys())
-    for row in rows:
-        writer.writerow(
-            "" if value is None else value for value in row.values())
-    clean = all(entry.report is not None and not entry.report.degraded
-                for entry in entries)
+    writer.writerow(SWEEP_COLUMNS)
+    degraded = SWEEP_COLUMNS.index("degraded")
+    clean = True
+    # only rows outlive a step, so one report at a time is alive
+    for row in map(sweep_row, sweep(records[0], spec, config)):
+        writer.writerow(row)  # csv writes None as ""
+        clean = clean and not row[degraded]
     return EXIT_OK if clean else EXIT_DEGRADED
 
 

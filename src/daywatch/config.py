@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .grid_analysis import UP_LOG_MODES
+from .grid_analysis import DEFAULT_TOLERANCE, DEFAULT_UP_LOG_MODE, UP_LOG_MODES
 
 
 @dataclass(frozen=True)
@@ -17,8 +17,8 @@ class RunConfig:
                         absolute takes logarithms of magnitudes
     """
 
-    equality_tolerance: float = 1e-6
-    up_log_mode: str = "strict"
+    equality_tolerance: float = DEFAULT_TOLERANCE
+    up_log_mode: str = DEFAULT_UP_LOG_MODE
 
     def __post_init__(self) -> None:
         if not self.equality_tolerance > 0:

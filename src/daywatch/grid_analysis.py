@@ -70,6 +70,8 @@ TRIANGLE_COEFFS = (
 )
 
 UP_LOG_MODES = ("strict", "absolute")
+DEFAULT_UP_LOG_MODE = "strict"  # also the default of RunConfig and the CLI
+DEFAULT_TOLERANCE = 1e-6  # relative tolerance of grid-state equality
 
 
 class OperatingState(str, Enum):
@@ -228,7 +230,7 @@ def triangle_reliability(v1: float) -> float:
 
 
 def quenched_probability(u_s: float, u_p: float, e1: float,
-                         up_log_mode: str = "strict") -> float:
+                         up_log_mode: str = DEFAULT_UP_LOG_MODE) -> float:
     """Quenched-disorder critical probability.
 
     p_g = 1 - (1/u_s) exp(-4 (ln u_s - ln u_p)**2 e1 / QUENCH_CONSTANT)
@@ -268,7 +270,7 @@ def _close(x: float, reference: float, tolerance: float) -> bool:
 
 
 def classify_grid(probabilities: ReliabilityProbabilities,
-                  tolerance: float = 1e-6) -> OperatingState:
+                  tolerance: float = DEFAULT_TOLERANCE) -> OperatingState:
     """Grid state from the reliability probabilities.
 
     Proximity of the topology reliabilities to the critical probability

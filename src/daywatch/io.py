@@ -19,6 +19,9 @@ allow_nan=False) + "\n": every leaf is written by the rules of the
 stdlib encoder, and a non-finite float raises ValueError.  json.dumps is
 not called because any indent makes CPython 3.11 fall back to its
 pure-Python encoder, which took longer than computing the report.
+
+Sweeps stream: sweep yields each point's entry as soon as it is evaluated,
+so a caller writes each sweep_row as it goes and holds one report at a time.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import io as _io
 import json
 import math
 import operator
+from collections.abc import Iterator
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _encode_string
 
@@ -122,7 +126,8 @@ def _parse_csv(text: str) -> list[InputParameters]:
 def _parse_json(text: str) -> list[InputParameters]:
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError is also raised for an int past the digit limit
         raise ParseError(0, f"not valid JSON: {exc}") from None
     if not isinstance(payload, list):
         raise ParseError(0, "top level must be an array of records")
@@ -148,7 +153,10 @@ def _parse_json(text: str) -> list[InputParameters]:
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ParseError(row_number,
                                  f"field {name!r} is not a number: {value!r}")
-            numbers[name] = float(value)
+            try:
+                numbers[name] = float(value)
+            except OverflowError:  # an int past the double range
+                numbers[name] = math.inf if value > 0 else -math.inf
         params = InputParameters(date=date, **numbers)
         try:
             validate(params)
@@ -310,51 +318,39 @@ class SweepEntry:
 
 
 def sweep(base: InputParameters, spec: SweepSpec,
-          config: RunConfig | None = None) -> list[SweepEntry]:
+          config: RunConfig | None = None) -> Iterator[SweepEntry]:
     """Evaluate the pipeline at every sweep point of one parameter.
 
-    Always returns exactly spec.steps entries in sweep order; a point
-    whose record is inadmissible contributes an error entry instead of
-    aborting the sweep.
+    Yields exactly spec.steps entries in sweep order, each as soon as its
+    point is evaluated; a point whose record is inadmissible yields an
+    error entry instead of aborting the sweep.
     """
-    entries = []
     for index in range(spec.steps):
         value = spec.value_at(index)
         point = dataclasses.replace(base, **{spec.parameter: value})
         try:
-            entries.append(SweepEntry(value=value, report=run_watch(
-                point, config), error=None))
+            entry = SweepEntry(value=value, report=run_watch(point, config),
+                               error=None)
         except ValidationError as exc:
-            entries.append(SweepEntry(value=value, report=None,
-                                      error=str(exc)))
-    return entries
+            entry = SweepEntry(value=value, report=None, error=str(exc))
+        yield entry
+        # hold no report while the next point is evaluated
+        del entry
 
 
-def sweep_rows(entries: list[SweepEntry]) -> list[dict]:
-    """Plot-ready flat rows (one per entry) for columnar output."""
-    rows = []
-    for entry in entries:
-        if entry.report is None:
-            rows.append({
-                "value": entry.value,
-                "trade_volume_pct": None,
-                **dict.fromkeys(_STATE_KEYS),
-                "p_false_alarm": None,
-                "p_miss": None,
-                "degraded": True,
-                "error": entry.error,
-            })
-            continue
-        report = entry.report
-        rows.append({
-            "value": entry.value,
-            "trade_volume_pct": report.trade_volume_pct,
-            **_state_values(report.states),
-            "p_false_alarm": report.p_false_alarm,
-            "p_miss": report.p_miss,
-            "degraded": report.degraded,
-            "error": "; ".join(
-                f"{r.error}({r.stage}/{r.quantity})" for r in report.errors)
-            or None,
-        })
-    return rows
+# The columns of a sweep row, one per value sweep_row returns.
+SWEEP_COLUMNS = ("value", "trade_volume_pct") + _STATE_KEYS + (
+    "p_false_alarm", "p_miss", "degraded", "error")
+
+
+def sweep_row(entry: SweepEntry) -> tuple:
+    """The entry as one plot-ready row, a value per SWEEP_COLUMNS name."""
+    report = entry.report
+    if report is None:  # inadmissible: degraded, for the validation failure
+        return (entry.value, None, None, None, None, None, None, True,
+                entry.error)
+    return (entry.value, report.trade_volume_pct,
+            *_state_values(report.states).values(), report.p_false_alarm,
+            report.p_miss, report.degraded,
+            "; ".join(f"{r.error}({r.stage}/{r.quantity})"
+                      for r in report.errors) or None)

@@ -263,7 +263,7 @@ def test_criterion_9_sweep_contract(tmp_path, capsys):
     """101 delta points, in order, report-or-error, under a second."""
     spec = SweepSpec(parameter="delta", start=0.0, stop=1.0, steps=101)
     start = time.perf_counter()
-    entries = sweep(BASELINE, spec)
+    entries = list(sweep(BASELINE, spec))
     elapsed = time.perf_counter() - start
     assert len(entries) == 101
     for index, entry in enumerate(entries):

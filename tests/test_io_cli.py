@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import weakref
 from importlib import resources
 from pathlib import Path
 
@@ -31,7 +32,7 @@ from daywatch.cli import main
 from daywatch.errors import ErrorRecord
 from daywatch.grid_analysis import UP_LOG_MODES
 from daywatch.inputs import FIELD_ORDER
-from daywatch.io import CSV_HEADER, report_as_dict, sweep_rows
+from daywatch.io import CSV_HEADER, SWEEP_COLUMNS, report_as_dict, sweep_row
 
 BLOCKS = ("input", "exponents", "grid_model", "potentials", "distances",
           "probabilities", "states", "watch", "flags")
@@ -371,7 +372,7 @@ class TestSweep:
 
     def test_sweep_covers_every_point_in_order(self, clean):
         spec = SweepSpec(parameter="delta", start=0.0, stop=1.0, steps=101)
-        entries = sweep(clean, spec)
+        entries = list(sweep(clean, spec))
         assert len(entries) == 101
         assert [e.value for e in entries] == [spec.value_at(i)
                                               for i in range(101)]
@@ -380,7 +381,7 @@ class TestSweep:
 
     def test_inadmissible_points_become_error_entries(self, clean):
         spec = SweepSpec(parameter="t6_1", start=0.0, stop=1.0, steps=3)
-        entries = sweep(clean, spec)
+        entries = list(sweep(clean, spec))
         assert entries[0].report is None
         assert "t6_1" in entries[0].error
         assert entries[1].report is not None
@@ -388,10 +389,11 @@ class TestSweep:
 
     def test_rows_are_plot_ready(self, clean):
         spec = SweepSpec(parameter="t6_1", start=0.0, stop=1.0, steps=3)
-        entries = sweep(clean, spec)
-        rows = sweep_rows(entries)
+        entries = list(sweep(clean, spec))
+        rows = [dict(zip(SWEEP_COLUMNS, sweep_row(entry), strict=True))
+                for entry in entries]
         assert len(rows) == 3
-        assert tuple(rows[0]) == (
+        assert SWEEP_COLUMNS == (
             "value", "trade_volume_pct", "market_state", "grid_state",
             "threat_level", "p_false_alarm", "p_miss", "degraded", "error",
         )
@@ -498,6 +500,43 @@ class TestCli:
         assert code == 3
         assert "cannot read" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [
+        ["run"],
+        ["sweep", "--param", "delta", "--from", "0", "--to", "1",
+         "--steps", "3"],
+    ], ids=["run", "sweep"])
+    def test_input_that_is_not_utf8_is_unparseable(self, tmp_path, capsys,
+                                                    command):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"date,t6_1,t6_2,t16,t24,k_c,c_0,delta\n"
+                         b"\xff,6,6,16,24,4,50,0.035\n")
+        code = main([command[0], "--input", str(path), *command[1:]])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err.startswith("daywatch: unparseable input: ")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("k_c, code, fragment", [
+        ("9" * 400, 2, "NonFinite(k_c) value=inf"),
+        ("-" + "9" * 400, 2, "NonFinite(k_c) value=-inf"),
+        ("9" * 5000, 3, "digits"),
+        (None, 3, "recursion"),
+    ], ids=["int-past-double-range", "negative-int-past-double-range",
+            "int-past-digit-limit", "arrays-nested-too-deep"])
+    def test_json_the_decoder_cannot_hold_is_contained(self, tmp_path,
+                                                       capsys, k_c, code,
+                                                       fragment):
+        if k_c is None:
+            text = "[" * 100_000 + "]" * 100_000
+        else:
+            text = ('[{"t6_1": 6, "t6_2": 6, "t16": 16, "t24": 24, '
+                    f'"k_c": {k_c}, "c_0": 50, "delta": 0.035}}]')
+        path = self.write(tmp_path, "odd.json", text)
+        assert main(["run", "--input", path, "--format", "json"]) == code
+        captured = capsys.readouterr()
+        assert fragment in captured.err
+        assert captured.out == ""
+
     def test_garbage_is_unparseable(self, tmp_path, capsys):
         path = self.write(tmp_path, "garbage.csv", "not,a,header\n1,2,3\n")
         code = main(["run", "--input", path])
@@ -541,6 +580,25 @@ class TestCli:
                             "error")
         assert len(lines) == 6
         assert lines[1].startswith("0.0,")
+
+    def test_sweep_holds_one_report_at_a_time(self, tmp_path, capsys,
+                                              monkeypatch):
+        reports = []  # a weak reference to each report made
+        alive = []    # how many of them are alive as each evaluation starts
+
+        def watched(point, config):
+            alive.append(sum(ref() is not None for ref in reports))
+            report = run_watch(point, config)
+            reports.append(weakref.ref(report))
+            return report
+
+        monkeypatch.setattr(daywatch.io, "run_watch", watched)
+        code = main(["sweep", "--input", self.baseline_csv(tmp_path),
+                     "--param", "delta", "--from", "0", "--to", "1",
+                     "--steps", "5"])
+        assert code == 2
+        assert len(capsys.readouterr().out.splitlines()) == 6
+        assert alive == [0] * 5
 
     def test_sweep_rejects_a_bad_spec(self, tmp_path, capsys):
         code = main(["sweep", "--input", self.baseline_csv(tmp_path),
