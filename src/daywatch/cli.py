@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import sys
 
 from .checks import run_all
@@ -140,14 +141,21 @@ def _cmd_sweep(args) -> int:
     except ValueError as exc:
         print(f"daywatch: {exc}", file=sys.stderr)
         return EXIT_DEGRADED
-    writer = csv.writer(sys.stdout, lineterminator="\n")
+    # Rows go out in blocks of a buffer's size, one write each, also when
+    # stdout is unbuffered (python -u); only rows outlive a step, so one
+    # report at a time is alive.
+    block = io.StringIO()
+    writer = csv.writer(block, lineterminator="\n")
     writer.writerow(SWEEP_COLUMNS)
     degraded = SWEEP_COLUMNS.index("degraded")
     clean = True
-    # only rows outlive a step, so one report at a time is alive
     for row in map(sweep_row, sweep(records[0], spec, config)):
         writer.writerow(row)  # csv writes None as ""
         clean = clean and not row[degraded]
+        if block.tell() >= io.DEFAULT_BUFFER_SIZE:
+            sys.stdout.write(block.getvalue())
+            block.seek(block.truncate(0))
+    sys.stdout.write(block.getvalue())
     return EXIT_OK if clean else EXIT_DEGRADED
 
 

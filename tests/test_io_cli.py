@@ -1,6 +1,7 @@
 """Parsing, serialization, sweeps, and the command-line surface."""
 
 import dataclasses
+import io
 import json
 import math
 import os
@@ -599,6 +600,32 @@ class TestCli:
         assert code == 2
         assert len(capsys.readouterr().out.splitlines()) == 6
         assert alive == [0] * 5
+
+    def test_sweep_writes_rows_in_blocks(self, tmp_path, monkeypatch):
+        class Recorder:  # an unbuffered stdout: each write goes out alone
+            def __init__(self):
+                self.writes = []
+
+            def write(self, text):
+                self.writes.append(text)
+                return len(text)
+
+        stdout = Recorder()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        code = main(["sweep", "--input", self.baseline_csv(tmp_path),
+                     "--param", "t16", "--from", "5", "--to", "15",
+                     "--steps", "1001"])
+        assert code == 2
+        lines = "".join(stdout.writes).splitlines()
+        assert len(lines) == 1002
+        longest = max(len(line) + 1 for line in lines)
+        # every write but the last is one block, of at least the buffer size
+        assert len(stdout.writes) >= 2
+        for text in stdout.writes[:-1]:
+            assert text.endswith("\n")
+            assert io.DEFAULT_BUFFER_SIZE <= len(text) \
+                < io.DEFAULT_BUFFER_SIZE + longest
+        assert 0 < len(stdout.writes[-1]) < io.DEFAULT_BUFFER_SIZE + longest
 
     def test_sweep_rejects_a_bad_spec(self, tmp_path, capsys):
         code = main(["sweep", "--input", self.baseline_csv(tmp_path),
