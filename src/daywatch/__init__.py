@@ -73,21 +73,14 @@ from .io import (
     report_as_dict,
     sweep,
 )
-from .lyapunov import (
-    LyapunovExponents,
-    build_matrix,
-    permanent,
-    permanent_expansion,
-)
+from .lyapunov import LyapunovExponents, build_matrix, permanent
 from .watch import (
-    DistanceChain,
-    ProbabilityChain,
     ReportFlags,
     WatchReport,
-    distance_chain,
     false_alarm,
+    fourth_probability,
+    half_chain,
     miss_probability,
-    probability_chain,
     run_watch,
 )
 
@@ -97,7 +90,6 @@ __all__ = [
     "ComputationError",
     "DaywatchError",
     "DegenerateChain",
-    "DistanceChain",
     "Distances",
     "ErrorRecord",
     "ExponentialOverflow",
@@ -113,7 +105,6 @@ __all__ = [
     "NonPositivePotential",
     "OperatingState",
     "ParseError",
-    "ProbabilityChain",
     "QUENCH_CONSTANT",
     "ReliabilityProbabilities",
     "ReportFlags",
@@ -138,17 +129,16 @@ __all__ = [
     "classify_grid",
     "classify_market",
     "critical_distance",
-    "distance_chain",
     "elliptic_distance",
     "emit_report",
     "energy_potential",
     "false_alarm",
+    "fourth_probability",
+    "half_chain",
     "hyperbolic_distance",
     "miss_probability",
     "parse_records",
     "permanent",
-    "permanent_expansion",
-    "probability_chain",
     "quenched_probability",
     "report_as_dict",
     "run_watch",

@@ -16,6 +16,14 @@ exponents.  The quantities:
     p_t      triangle-topology reliability polynomial at v1
     p_g      quenched-disorder critical probability
 
+The reliability polynomials vanish at v1 = 1 with multiplicity 5 (star)
+and 8 (triangle), so their monomial terms cancel there: near v1 = 1 the
+result loses every digit and can take the wrong sign.  On 0.5 <= v1 <= 2
+they are evaluated as y**m * q(y) in y = 1 - v1 instead; y is exact
+there (Sterbenz) and q, with integer coefficients, has no real root.
+Elsewhere the monomial basis is accurate (near v1 = 0 the constant term
+1 dominates) and is kept.
+
 Gamma-function constants are folded into the distance prefactors once
 and for all (sqrt(pi) and the two half-integer values cancel), so no
 gamma evaluation happens at run time.
@@ -68,6 +76,16 @@ TRIANGLE_COEFFS = (
     79.0, -560.0, 1668.0, -2656.0, 2331.0, -960.0, 0.0,
     96.0, 21.0, -16.0, -4.0, 0.0, 1.0,
 )
+
+# The same polynomials in y = 1 - v1, highest degree first, with the
+# root at v1 = 1 divided out: star = y**5 * q(y), triangle = y**8 * r(y).
+STAR_ROOT_ORDER = 5
+STAR_Y_COEFFS = (
+    120.0, -1440.0, 7830.0, -25440.0, 54780.0, -81840.0, 86110.0,
+    -63195.0, 31080.0, -9300.0, 1296.0,
+)
+TRIANGLE_ROOT_ORDER = 8
+TRIANGLE_Y_COEFFS = (79.0, -388.0, 722.0, -604.0, 192.0)
 
 UP_LOG_MODES = ("strict", "absolute")
 DEFAULT_UP_LOG_MODE = "strict"  # also the default of RunConfig and the CLI
@@ -219,14 +237,24 @@ def _horner(coefficients: tuple[float, ...], x: float) -> float:
     return accumulator
 
 
+def _reliability(coefficients: tuple[float, ...], root_order: int,
+                 y_coefficients: tuple[float, ...], v1: float) -> float:
+    """Monomial Horner, or y**root_order * q(y) in y = 1 - v1 near v1 = 1."""
+    if 0.5 <= v1 <= 2:
+        y = 1 - v1
+        return y ** root_order * _horner(y_coefficients, y)
+    return _horner(coefficients, v1)
+
+
 def star_reliability(v1: float) -> float:
     """Star-topology reliability polynomial at edge-failure probability v1."""
-    return _horner(STAR_COEFFS, v1)
+    return _reliability(STAR_COEFFS, STAR_ROOT_ORDER, STAR_Y_COEFFS, v1)
 
 
 def triangle_reliability(v1: float) -> float:
     """Triangle-topology reliability polynomial at v1."""
-    return _horner(TRIANGLE_COEFFS, v1)
+    return _reliability(TRIANGLE_COEFFS, TRIANGLE_ROOT_ORDER,
+                        TRIANGLE_Y_COEFFS, v1)
 
 
 def quenched_probability(u_s: float, u_p: float, e1: float,

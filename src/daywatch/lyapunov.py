@@ -23,14 +23,16 @@ The evolution matrix rows are
 Row 4 ends with t6_2_s instead of continuing the shift pattern of rows
 2 and 3.  The repetition is part of the contract; do not normalise it.
 
-The permanent ships in two forms: Ryser's inclusion-exclusion over the
-15 nonempty column subsets (production) and the full 24-term
-permutation expansion (reference oracle for self-checks and tests).
+The permanent is computed one way: a Laplace expansion along the
+first two rows (Minc, *Permanents*, 1978), which sums over the six
+column pairs the 2x2 permanent of rows 1-2 on the pair times that of
+rows 3-4 on the two remaining columns.  It has 30 multiplications and
+no subtractions, so on the nonnegative evolution matrices nothing
+cancels.  The self-check compares it with the exact 24-term expansion.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -39,8 +41,6 @@ from .inputs import ScaledTimes
 
 # 4x4 array as nested tuples; rows are tuples of 4 floats
 EvolutionMatrix = tuple[tuple[float, float, float, float], ...]
-
-MATRIX_SIZE = 4
 
 
 def build_matrix(scaled: ScaledTimes) -> EvolutionMatrix:
@@ -52,41 +52,19 @@ def build_matrix(scaled: ScaledTimes) -> EvolutionMatrix:
     )
 
 
-def _check_matrix(matrix) -> None:
-    if len(matrix) != MATRIX_SIZE or any(len(row) != MATRIX_SIZE for row in matrix):
-        raise ValueError("permanent is defined here for 4x4 matrices only")
-
-
 def permanent(matrix: EvolutionMatrix) -> float:
-    """per(A) by Ryser's formula: sum over nonempty column subsets S of
-    (-1)**(4-|S|) * prod_i sum_{j in S} a[i][j]."""
-    _check_matrix(matrix)
-    total = 0.0
-    for mask in range(1, 1 << MATRIX_SIZE):
-        prod = 1.0
-        for row in matrix:
-            row_sum = 0.0
-            for j in range(MATRIX_SIZE):
-                if mask >> j & 1:
-                    row_sum += row[j]
-            prod *= row_sum
-        if (MATRIX_SIZE - mask.bit_count()) % 2:
-            total -= prod
-        else:
-            total += prod
-    return total
+    """per(A) by the Laplace split along rows 1-2 of a 4x4 matrix.
 
-
-def permanent_expansion(matrix: EvolutionMatrix) -> float:
-    """per(A) by the exhaustive 24-term permutation expansion (oracle)."""
-    _check_matrix(matrix)
-    total = 0.0
-    for perm in itertools.permutations(range(MATRIX_SIZE)):
-        term = 1.0
-        for i, j in enumerate(perm):
-            term *= matrix[i][j]
-        total += term
-    return total
+    Any other shape fails to unpack and raises ValueError.
+    """
+    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), \
+        (d0, d1, d2, d3) = matrix
+    return ((a0 * b1 + a1 * b0) * (c2 * d3 + c3 * d2)
+            + (a0 * b2 + a2 * b0) * (c1 * d3 + c3 * d1)
+            + (a0 * b3 + a3 * b0) * (c1 * d2 + c2 * d1)
+            + (a1 * b2 + a2 * b1) * (c0 * d3 + c3 * d0)
+            + (a1 * b3 + a3 * b1) * (c0 * d2 + c2 * d0)
+            + (a2 * b3 + a3 * b2) * (c0 * d1 + c1 * d0))
 
 
 def error_exponent(delta: float) -> float:

@@ -53,29 +53,6 @@ DROOP_PIVOT = 3.5
 
 
 @dataclass(frozen=True)
-class DistanceChain:
-    """The three distances arranged smallest to largest."""
-
-    r_big: float
-    r_mid: float
-    r_small: float
-
-
-@dataclass(frozen=True)
-class ProbabilityChain:
-    """Chain built from the sorted reliability probabilities.
-
-    p1 is the largest probability, p2 = 1 - middle/2, p3 = smallest/2,
-    and p4 = (k_c/3.5)**4 * p3, so p4/p3 is a pure droop factor.
-    """
-
-    p1: float
-    p2: float
-    p3: float
-    p4: float
-
-
-@dataclass(frozen=True)
 class ReportFlags:
     """The six named report flags.
 
@@ -120,77 +97,58 @@ class WatchReport:
                 or not self.flags.v1_in_unit_interval)
 
 
-def distance_chain(distances: Distances) -> DistanceChain:
-    """Sort the three distances; ties keep the (r_e, r_h, r_c) order."""
-    ordered = sorted((distances.r_e, distances.r_h, distances.r_c))
-    return DistanceChain(r_big=ordered[2], r_mid=ordered[1],
-                         r_small=ordered[0])
+def false_alarm(r_small: float, r_mid: float,
+                r_big: float) -> tuple[float, float, bool]:
+    """(raw, clamped, out_of_range) false-alarm probability.
 
-
-def _false_alarm_from_chain(chain: DistanceChain) -> tuple[float, float, bool]:
-    if chain.r_small == chain.r_big:
+    Takes the three distances sorted ascending.  Raw value per the
+    defining formula; see the module docstring for why it is
+    non-positive for distinct distances.
+    """
+    if r_small == r_big:
         raise DegenerateChain("watch", "p_false_alarm_raw",
                               "all three distances are equal")
-    if chain.r_mid == 0:
+    if r_mid == 0:
         raise ZeroMiddle("watch", "p_false_alarm_raw",
                          "middle distance is zero")
     raw = ((2.0 / 3.0)
-           * (chain.r_small / (chain.r_small - chain.r_big))
-           * ((chain.r_mid - chain.r_big) / chain.r_mid) ** 2)
+           * (r_small / (r_small - r_big))
+           * ((r_mid - r_big) / r_mid) ** 2)
     clamped = min(1.0, max(0.0, raw))
     return raw, clamped, not 0 <= raw <= 1
 
 
-def false_alarm(distances: Distances) -> tuple[float, float, bool]:
-    """(raw, clamped, out_of_range) false-alarm probability.
+def half_chain(p_s: float, p_t: float,
+               p_g: float) -> tuple[float, float, float]:
+    """(p1, p2, p3) from the sorted probabilities; p4 needs the droop.
 
-    Raw value per the defining formula; see the module docstring for why
-    it is non-positive for distinct distances.
+    p1 is the largest probability, p2 = 1 - middle/2, p3 = smallest/2.
     """
-    return _false_alarm_from_chain(distance_chain(distances))
-
-
-def _half_chain(p_s: float, p_t: float,
-                p_g: float) -> tuple[float, float, float]:
-    """(p1, p2, p3) from the sorted probabilities; p4 needs the droop."""
     ordered = sorted((p_s, p_t, p_g))
     return ordered[2], 1 - ordered[1] / 2, ordered[0] / 2
 
 
-def _fourth_probability(p3: float, k_c: float) -> float:
+def fourth_probability(p3: float, k_c: float) -> float:
+    """p4 = (k_c/3.5)**4 * p3, so p4/p3 is a pure droop factor."""
     if p3 == 0:
         raise ZeroP3("watch", "p_miss_raw",
                      "halved minimum of the probability chain is zero")
     return (k_c / DROOP_PIVOT) ** 4 * p3
 
 
-def probability_chain(probabilities: ReliabilityProbabilities,
-                      k_c: float) -> ProbabilityChain:
-    p1, p2, p3 = _half_chain(probabilities.p_s, probabilities.p_t,
-                             probabilities.p_g)
-    return ProbabilityChain(p1=p1, p2=p2, p3=p3,
-                            p4=_fourth_probability(p3, k_c))
-
-
-def _miss_from_chain(chain: ProbabilityChain,
+def miss_probability(p1: float, p2: float, p3: float, p4: float,
                      v_m: float) -> tuple[float, float, bool]:
+    """(raw, clamped, out_of_range) miss probability of the chain p1..p4."""
     share = v_m / 100
-    inner = (share ** 2 * (1 - share) ** 2 * (chain.p1 - chain.p2) ** 2
-             + chain.p1 * chain.p2)
+    inner = share ** 2 * (1 - share) ** 2 * (p1 - p2) ** 2 + p1 * p2
     if inner < 0:
         raise NegativeMissRadicand("watch", "p_miss_raw",
                                    "miss radicand is negative", inner)
     # p3*p4 and p4/p3 cannot go negative: p4 is p3 times a fourth power
-    raw = 1 - 2 * math.sqrt(chain.p4 / chain.p3) * (
-        math.sqrt(inner) + math.sqrt(chain.p3 * chain.p4))
+    raw = 1 - 2 * math.sqrt(p4 / p3) * (math.sqrt(inner)
+                                        + math.sqrt(p3 * p4))
     clamped = min(1.0, max(0.0, raw))
     return raw, clamped, not 0 <= raw <= 1
-
-
-def miss_probability(probabilities: ReliabilityProbabilities, k_c: float,
-                     v_m: float) -> tuple[float, float, bool]:
-    """(raw, clamped, out_of_range) miss probability."""
-    return _miss_from_chain(probability_chain(probabilities, k_c), v_m)
 
 
 def _step(errors: list[ErrorRecord], stage: str, quantity: str,
@@ -298,21 +256,20 @@ def run_watch(params: InputParameters,
     threat, paper_gap = _defined(grid_analysis.threat_level, market_state,
                                  grid_state) or (None, False)
 
-    chain = _defined(distance_chain, distances)
-    r_small, r_mid, r_big = (None, None, None) if chain is None else (
-        chain.r_small, chain.r_mid, chain.r_big)
+    r_small, r_mid, r_big = (None, None, None) if distances is None \
+        else sorted((r_e, r_h, r_c))
     p_f_raw, p_f, pf_out_of_range = _step(
-        errors, "watch", "p_false_alarm_raw", _false_alarm_from_chain,
-        chain) or (None, None, False)
+        errors, "watch", "p_false_alarm_raw", false_alarm,
+        r_small, r_mid, r_big) or (None, None, False)
 
     # the miss chain is built only once the trade volume it weighs exists
     p1, p2, p3 = (None if v_m is None else _defined(
-        _half_chain, p_s, p_t, p_g)) or (None, None, None)
-    p4 = _step(errors, "watch", "p_miss_raw", _fourth_probability, p3,
+        half_chain, p_s, p_t, p_g)) or (None, None, None)
+    p4 = _step(errors, "watch", "p_miss_raw", fourth_probability, p3,
                params.k_c)
     p_m_raw, p_m, pm_out_of_range = _step(
-        errors, "watch", "p_miss_raw", _miss_from_chain,
-        _defined(ProbabilityChain, p1, p2, p3, p4), v_m) or (None, None, False)
+        errors, "watch", "p_miss_raw", miss_probability,
+        p1, p2, p3, p4, v_m) or (None, None, False)
 
     trace = {
         "t6_1": params.t6_1, "t6_2": params.t6_2, "t16": params.t16,

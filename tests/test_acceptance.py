@@ -12,6 +12,7 @@ import math
 import random
 import time
 
+import exact
 import pytest
 
 from daywatch import (
@@ -46,7 +47,7 @@ def relative_gap(actual, expected):
 
 
 def test_criterion_1_permanent_oracle():
-    """Ryser vs. the 24-term expansion on 1,000 random matrices, < 1 s."""
+    """The permanent vs. the exact 24-term expansion, 1,000 matrices, < 1 s."""
     rng = random.Random(424242)
     start = time.perf_counter()
     worst = 0.0
@@ -54,8 +55,8 @@ def test_criterion_1_permanent_oracle():
         matrix = tuple(
             tuple(rng.uniform(0.0, 3.0) for _ in range(4)) for _ in range(4)
         )
-        gap = relative_gap(
-            lyapunov.permanent(matrix), lyapunov.permanent_expansion(matrix)
+        gap = exact.relative_error(
+            lyapunov.permanent(matrix), exact.permanent(matrix)
         )
         worst = max(worst, gap)
     elapsed = time.perf_counter() - start
@@ -87,15 +88,15 @@ def test_criterion_3_root_product_identity():
 
 
 def test_criterion_4_reliability_polynomials():
-    """Exact endpoints; Horner vs. naive power sum at 10,000 points.
+    """Exact endpoints; evaluators vs. naive power sum at 10,000 points.
 
-    The cross-check is scaled by sum_k |c_k| |x|^k.  Near the shared
-    root at x = 1 both evaluations are cancellation noise (~1e-14 with
-    unstable sign), and around |x| ~ 1.44 the term sum reaches ~2.5e5
-    while the value is ~1, so even an exact reference sits ~6e-12
-    relative from either double evaluation.  Relative to the term scale
-    the two must (and do) agree to a few ulps; a wrong coefficient or
-    degree still fails this bound by many orders of magnitude.
+    The cross-check is scaled by sum_k |c_k| |x|^k, the conditioning of
+    the naive sum.  Near the shared root at x = 1 that sum is
+    cancellation noise (~1e-14 with unstable sign), and around
+    |x| ~ 1.44 the term sum reaches ~2.5e5 while the value is ~1, so it
+    sits ~6e-12 relative from the exact value.  Relative to the term
+    scale the two must (and do) agree to a few ulps; a wrong coefficient
+    or degree still fails this bound by many orders of magnitude.
     """
     for poly in (star_reliability, triangle_reliability):
         assert abs(poly(0.0) - 1.0) <= 1e-12
@@ -183,7 +184,7 @@ def test_criterion_6_golden_end_to_end():
 
 def test_criterion_7_documented_anomalies():
     """The two formula anomalies and the table gap behave as documented."""
-    raw, clamped, out_of_range = false_alarm(Distances(1.0, 2.0, 3.0))
+    raw, clamped, out_of_range = false_alarm(1.0, 2.0, 3.0)
     assert raw < 0
     assert clamped == 0.0
     assert out_of_range is True

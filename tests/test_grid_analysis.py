@@ -2,6 +2,7 @@
 
 import math
 
+import exact
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -228,6 +229,36 @@ class TestReliabilityPolynomials:
         assert poly(0.0) == 1.0
         assert poly(1.0) == 0.0
 
+    @pytest.mark.parametrize(
+        ("poly", "coefficients"),
+        [(star_reliability, STAR_COEFFS),
+         (triangle_reliability, TRIANGLE_COEFFS)],
+    )
+    @settings(max_examples=300, deadline=None)
+    @given(x=st.floats(min_value=-0.5, max_value=1.5, allow_nan=False))
+    def test_accurate_against_exact_value(self, poly, coefficients, x):
+        # relative, including next to the multiple root at v1 = 1
+        assert exact.relative_error(
+            poly(x), exact.polynomial(coefficients, x)) <= 1e-12
+
+    @pytest.mark.parametrize(
+        ("poly", "coefficients"),
+        [(star_reliability, STAR_COEFFS),
+         (triangle_reliability, TRIANGLE_COEFFS)],
+    )
+    def test_accurate_next_to_the_root(self, poly, coefficients):
+        for k in range(1, 16):
+            for x in (1.0 - 10.0 ** -k, 1.0 + 10.0 ** -k):
+                assert exact.relative_error(
+                    poly(x), exact.polynomial(coefficients, x)) <= 1e-12, x
+
+    def test_tiny_values_near_the_root_keep_sign_and_digits(self):
+        v1 = 0.9999693596596183
+        assert triangle_reliability(v1) == pytest.approx(
+            1.4914477769510e-34, rel=1e-12, abs=0)
+        assert star_reliability(v1) == pytest.approx(
+            3.4992698829759e-20, rel=1e-12, abs=0)
+
     def test_leading_terms(self):
         assert STAR_COEFFS[0] == -120.0
         assert len(STAR_COEFFS) == 16
@@ -242,9 +273,9 @@ class TestReliabilityPolynomials:
     @settings(max_examples=300, deadline=None)
     @given(x=st.floats(min_value=-0.5, max_value=1.5, allow_nan=False))
     def test_horner_matches_naive_evaluation(self, poly, coefficients, x):
-        # comparison is scaled by the term-magnitude sum: near the roots both
-        # evaluations are pure cancellation noise and plain relative error
-        # between them is unbounded
+        # comparison is scaled by the term-magnitude sum: near the root the
+        # naive sum is pure cancellation noise and plain relative error
+        # against it is unbounded
         scale = polynomial_scale(coefficients, x)
         assert abs(poly(x) - naive_polynomial(coefficients, x)) <= 1e-12 * scale
 

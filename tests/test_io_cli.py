@@ -413,6 +413,19 @@ class TestSweep:
                 assert row["error"] is None
 
 
+def run_child(*args):
+    """Run the interpreter with args, importing the daywatch under test.
+
+    The child sees the same daywatch as this test, whether pytest found it
+    through PYTHONPATH or through its own pythonpath setting.
+    """
+    source = str(Path(daywatch.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [source,
+                                         os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
+
+
 class TestCli:
     def write(self, tmp_path, name, text):
         path = tmp_path / name
@@ -653,15 +666,15 @@ class TestCli:
             assert name in out
 
     def test_module_entry_point(self):
-        # the child imports the same daywatch as this test, whether pytest
-        # found it through PYTHONPATH or through its own pythonpath setting
-        source = str(Path(daywatch.__file__).parents[1])
-        path = os.pathsep.join(filter(None, [source,
-                                             os.environ.get("PYTHONPATH")]))
-        completed = subprocess.run(
-            [sys.executable, "-m", "daywatch", "check"],
-            capture_output=True, text=True,
-            env={**os.environ, "PYTHONPATH": path},
-        )
+        completed = run_child("-m", "daywatch", "check")
         assert completed.returncode == 0
         assert completed.stdout.count("PASS") == 3
+
+    def test_cli_import_leaves_fractions_unloaded(self):
+        # only the self-check needs exact arithmetic; run and sweep
+        # should not pay for loading it
+        completed = run_child(
+            "-c", "import sys, daywatch.cli; "
+                  "print('fractions' in sys.modules)")
+        assert completed.returncode == 0
+        assert completed.stdout == "False\n"

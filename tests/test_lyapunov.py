@@ -1,13 +1,15 @@
-"""Permanent algorithms and the exponent formulas built on them."""
+"""The permanent and the exponent formulas built on it."""
 
 import math
 
+import exact
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from daywatch import (
     ExponentialOverflow,
+    InputParameters,
     NonPositivePermanent,
     run_watch,
     scale_times,
@@ -18,7 +20,6 @@ from daywatch.lyapunov import (
     error_exponent,
     permanent,
     permanent_exponent,
-    permanent_expansion,
     price_exponent,
 )
 
@@ -41,13 +42,11 @@ def matrix_from(values):
 
 
 def term_scale(matrix):
-    """Product of row 1-norms: bounds every intermediate of both algorithms.
+    """Product of row 1-norms: bounds every term of the expansion.
 
-    The permutation expansion of |entries| is NOT a usable scale here: a
-    matrix with a zero column has permanent exactly 0, yet the
-    inclusion-exclusion sums products of row sums that only cancel in
-    exact arithmetic, leaving a rounding residue proportional to this
-    norm product.
+    These entries take both signs, so per(A) can cancel to far below its
+    terms; a float evaluation is then accurate only relative to the term
+    sizes, which this product bounds.
     """
     product = 1.0
     for row in matrix:
@@ -64,7 +63,7 @@ class TestPermanent:
         assert permanent(identity) == 1.0
         assert permanent(ones) == 24.0
         assert permanent(CYCLE_BAND) == 2.0
-        assert permanent_expansion(CYCLE_BAND) == 2.0
+        assert exact.permanent(CYCLE_BAND) == 2
 
     def test_baseline_evolution_matrix(self, baseline):
         matrix = build_matrix(scale_times(baseline))
@@ -89,12 +88,22 @@ class TestPermanent:
 
     @settings(max_examples=150, deadline=None)
     @given(st.lists(finite_entries, min_size=16, max_size=16))
-    def test_inclusion_exclusion_matches_expansion(self, values):
+    def test_matches_exact_expansion(self, values):
         matrix = matrix_from(values)
         scale = term_scale(matrix)
-        assert abs(permanent(matrix) - permanent_expansion(matrix)) <= (
+        assert abs(permanent(matrix) - exact.permanent(matrix)) <= (
             1e-12 * max(1.0, scale)
         )
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(min_value=1e-3, max_value=1e3),
+                    min_size=4, max_size=4))
+    def test_accurate_on_evolution_matrices(self, times):
+        # nonnegative entries: no cancellation, so the error is relative
+        params = InputParameters(*times, k_c=1.0, c_0=1.0, delta=1.0)
+        matrix = build_matrix(scale_times(params))
+        assert exact.relative_error(
+            permanent(matrix), exact.permanent(matrix)) <= 1e-15
 
     @settings(max_examples=100, deadline=None)
     @given(

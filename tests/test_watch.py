@@ -5,16 +5,14 @@ import itertools
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from daywatch import (
     DegenerateChain,
-    Distances,
     InputParameters,
     NegativeMissRadicand,
     OperatingState,
-    ReliabilityProbabilities,
     RunConfig,
     SeparabilityRoot,
     ThreatLevel,
@@ -29,10 +27,10 @@ from daywatch import (
 )
 from daywatch.watch import (
     ReportFlags,
-    distance_chain,
     false_alarm,
+    fourth_probability,
+    half_chain,
     miss_probability,
-    probability_chain,
 )
 
 TRACE_KEYS = (
@@ -61,48 +59,68 @@ distinct_triples = st.tuples(
 ).filter(lambda t: len(set(t)) == 3)
 
 
-class TestDistanceChain:
-    def test_orders_ascending(self):
-        chain = distance_chain(Distances(r_e=3.0, r_h=1.0, r_c=2.0))
-        assert (chain.r_small, chain.r_mid, chain.r_big) == (1.0, 2.0, 3.0)
+def with_distances(params, r_e, r_h, r_c):
+    """run_watch(params) with the three distances fixed."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(grid_analysis, "elliptic_distance", lambda u_s, u_p: r_e)
+        patch.setattr(grid_analysis, "hyperbolic_distance", lambda model: r_h)
+        patch.setattr(grid_analysis, "critical_distance",
+                      lambda v1, l_p1: r_c)
+        return run_watch(params)
 
-    @settings(max_examples=100, deadline=None)
-    @given(distinct_triples)
-    def test_is_a_permutation_of_the_inputs(self, triple):
-        chain = distance_chain(Distances(*triple))
-        assert sorted(triple) == [chain.r_small, chain.r_mid, chain.r_big]
+
+def miss_chain(p_s, p_t, p_g, k_c, v_m):
+    """The miss probability exactly as run_watch chains it."""
+    p1, p2, p3 = half_chain(p_s, p_t, p_g)
+    return miss_probability(p1, p2, p3, fourth_probability(p3, k_c), v_m)
+
+
+class TestDistanceChain:
+    def test_orders_ascending(self, clean):
+        trace = with_distances(clean, r_e=3.0, r_h=1.0, r_c=2.0).trace
+        assert (trace["r_small"], trace["r_mid"], trace["r_big"]) == (
+            1.0, 2.0, 3.0)
+
+    # the record is immutable, so sharing it across examples is safe
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(triple=distinct_triples)
+    def test_is_a_permutation_of_the_inputs(self, clean, triple):
+        trace = with_distances(clean, *triple).trace
+        assert sorted(triple) == [
+            trace["r_small"], trace["r_mid"], trace["r_big"]]
 
 
 class TestFalseAlarm:
     def test_frozen_example(self):
         # (2/3) * (1/(1-3)) * ((2-3)/2)**2 = -1/12
-        raw, clamped, out_of_range = false_alarm(Distances(1.0, 2.0, 3.0))
+        raw, clamped, out_of_range = false_alarm(1.0, 2.0, 3.0)
         assert raw == pytest.approx(-1.0 / 12.0, rel=1e-12)
         assert clamped == 0.0
         assert out_of_range is True
 
     def test_tied_top_of_the_chain_gives_zero(self):
-        raw, clamped, out_of_range = false_alarm(Distances(1.0, 3.0, 3.0))
+        raw, clamped, out_of_range = false_alarm(1.0, 3.0, 3.0)
         assert raw == 0.0
         assert clamped == 0.0
         assert out_of_range is False
 
     def test_degenerate_chain(self):
         with pytest.raises(DegenerateChain) as excinfo:
-            false_alarm(Distances(2.0, 2.0, 2.0))
+            false_alarm(2.0, 2.0, 2.0)
         assert excinfo.value.stage == "watch"
         assert excinfo.value.quantity == "p_false_alarm_raw"
 
     def test_zero_middle(self):
         with pytest.raises(ZeroMiddle):
-            false_alarm(Distances(0.0, 0.0, 1.0))
+            false_alarm(0.0, 0.0, 1.0)
 
     @settings(max_examples=100, deadline=None)
     @given(distinct_triples)
     def test_permutation_invariance(self, triple):
-        reference = false_alarm(Distances(*triple))
+        reference = false_alarm(*sorted(triple))
         for permuted in itertools.permutations(triple):
-            assert false_alarm(Distances(*permuted)) == reference
+            assert false_alarm(*sorted(permuted)) == reference
 
     @settings(max_examples=200, deadline=None)
     @given(distinct_triples)
@@ -110,7 +128,7 @@ class TestFalseAlarm:
         # r_small/(r_small - r_big) < 0 while the square is positive, so
         # the defining formula cannot produce a usable probability; this
         # is why degraded runs are the norm
-        raw, clamped, out_of_range = false_alarm(Distances(*triple))
+        raw, clamped, out_of_range = false_alarm(*sorted(triple))
         assert raw <= 0.0
         assert clamped == 0.0
         assert out_of_range == (raw < 0.0)
@@ -118,46 +136,40 @@ class TestFalseAlarm:
 
 class TestMissProbability:
     def test_frozen_example(self):
-        probabilities = ReliabilityProbabilities(1.0, 1.0, 1.0)
-        raw, clamped, out_of_range = miss_probability(
-            probabilities, k_c=3.5, v_m=100.0
-        )
+        raw, clamped, out_of_range = miss_chain(1.0, 1.0, 1.0,
+                                                k_c=3.5, v_m=100.0)
         assert raw == pytest.approx(-math.sqrt(2.0), rel=1e-12)
         assert clamped == 0.0
         assert out_of_range is True
 
     def test_zero_droop_scores_certain_miss(self):
-        raw, clamped, out_of_range = miss_probability(
-            ReliabilityProbabilities(0.9, 0.8, 0.7), k_c=0.0, v_m=50.0
-        )
+        raw, clamped, out_of_range = miss_chain(0.9, 0.8, 0.7,
+                                                k_c=0.0, v_m=50.0)
         assert raw == 1.0
         assert clamped == 1.0
         assert out_of_range is False
 
     def test_droop_enters_as_a_fourth_power(self):
-        chain = probability_chain(
-            ReliabilityProbabilities(0.9, 0.8, 0.7), k_c=7.0
-        )
-        assert chain.p4 / chain.p3 == pytest.approx(2.0 ** 4, rel=1e-12)
+        _, _, p3 = half_chain(0.9, 0.8, 0.7)
+        assert fourth_probability(p3, k_c=7.0) / p3 == pytest.approx(
+            2.0 ** 4, rel=1e-12)
 
     def test_half_chain_values(self):
-        chain = probability_chain(
-            ReliabilityProbabilities(1.0, 1.0, 1.0), k_c=3.5
-        )
-        assert (chain.p1, chain.p2, chain.p3, chain.p4) == (1.0, 0.5, 0.5, 0.5)
+        p1, p2, p3 = half_chain(1.0, 1.0, 1.0)
+        assert (p1, p2, p3, fourth_probability(p3, k_c=3.5)) == (
+            1.0, 0.5, 0.5, 0.5)
 
     def test_zero_p3(self):
+        _, _, p3 = half_chain(0.0, 0.5, 0.9)
         with pytest.raises(ZeroP3) as excinfo:
-            probability_chain(ReliabilityProbabilities(0.0, 0.5, 0.9), k_c=2.0)
+            fourth_probability(p3, k_c=2.0)
         assert excinfo.value.detail == (
             "halved minimum of the probability chain is zero"
         )
 
     def test_negative_radicand_carries_the_value(self):
         with pytest.raises(NegativeMissRadicand) as excinfo:
-            miss_probability(
-                ReliabilityProbabilities(4.0, 4.0, 4.0), k_c=3.5, v_m=100.0
-            )
+            miss_chain(4.0, 4.0, 4.0, k_c=3.5, v_m=100.0)
         assert excinfo.value.value == pytest.approx(-4.0, rel=1e-12)
 
     @settings(max_examples=100, deadline=None)
@@ -171,13 +183,9 @@ class TestMissProbability:
         st.floats(min_value=0.0, max_value=100.0),
     )
     def test_permutation_invariance(self, triple, k_c, v_m):
-        reference = miss_probability(
-            ReliabilityProbabilities(*triple), k_c, v_m
-        )
+        reference = miss_chain(*triple, k_c, v_m)
         for permuted in itertools.permutations(triple):
-            assert miss_probability(
-                ReliabilityProbabilities(*permuted), k_c, v_m
-            ) == reference
+            assert miss_chain(*permuted, k_c, v_m) == reference
 
 
 class TestRunWatchBaseline:
