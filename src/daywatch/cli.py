@@ -5,7 +5,12 @@ Exit codes
     1   a self-check failed
     2   at least one record degraded: errors, anomaly flags, or
         inadmissible parameter values
-    3   the input could not be parsed at all
+    3   the input could not be read, or a row of it could not be parsed
+        (the reports of the rows before it are still written)
+    141 stdout was closed early (128 + SIGPIPE)
+
+run evaluates and writes one record at a time; an inadmissible record is
+named on stderr with its row number, and the batch goes on.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import os
 import sys
 
 from .checks import run_all
@@ -36,6 +42,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_DEGRADED = 2
 EXIT_UNPARSEABLE = 3
+EXIT_BROKEN_PIPE = 141
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -47,14 +54,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_parser = subparsers.add_parser(
         "run", help="evaluate every record of an input file")
-    _add_input_arguments(run_parser)
+    _add_common_arguments(run_parser)
     run_parser.add_argument("--output", choices=OUTPUT_FORMATS,
                             default="json", help="report format")
-    _add_config_arguments(run_parser)
 
     sweep_parser = subparsers.add_parser(
         "sweep", help="vary one parameter of the first record over a range")
-    _add_input_arguments(sweep_parser)
+    _add_common_arguments(sweep_parser)
     sweep_parser.add_argument("--param", required=True, choices=FIELD_ORDER,
                               help="input field to vary")
     sweep_parser.add_argument("--from", dest="start", type=float,
@@ -64,20 +70,16 @@ def build_parser() -> argparse.ArgumentParser:
                               metavar="B", help="range stop (inclusive)")
     sweep_parser.add_argument("--steps", type=int, required=True,
                               help="number of evaluation points (>= 2)")
-    _add_config_arguments(sweep_parser)
 
     subparsers.add_parser("check", help="run the built-in self-checks")
     return parser
 
 
-def _add_input_arguments(subparser: argparse.ArgumentParser) -> None:
+def _add_common_arguments(subparser: argparse.ArgumentParser) -> None:
     subparser.add_argument("--input", required=True, metavar="FILE",
                            help="input records file")
     subparser.add_argument("--format", choices=INPUT_FORMATS, default="csv",
                            help="input file format")
-
-
-def _add_config_arguments(subparser: argparse.ArgumentParser) -> None:
     subparser.add_argument("--tolerance", type=float,
                            default=DEFAULT_TOLERANCE,
                            help="relative tolerance of grid-state equality")
@@ -87,79 +89,69 @@ def _add_config_arguments(subparser: argparse.ArgumentParser) -> None:
                                 "the quenched probability")
 
 
-def _load_records(args):
-    """Parsed records, or an exit code when the input is unusable."""
+class _Blocks:
+    """Text bound for stdout, written in blocks of a buffer's size, one
+    write each whether or not stdout is buffered (python -u)."""
+
+    def __init__(self):
+        self.block = io.StringIO()
+
+    def write(self, text: str) -> None:
+        self.block.write(text)
+        if self.block.tell() >= io.DEFAULT_BUFFER_SIZE:
+            sys.stdout.write(self.block.getvalue())
+            self.block.seek(self.block.truncate(0))
+
+    def close(self) -> None:
+        sys.stdout.write(self.block.getvalue())
+        sys.stdout.flush()  # a closed stdout shows here, not at exit
+
+
+def _cmd_run(args, config, records) -> int:
+    out, any_degraded = _Blocks(), False
     try:
-        with open(args.input, "r", encoding="utf-8") as handle:
-            text = handle.read()
-        return parse_records(text, args.format)
-    except OSError as exc:
-        print(f"daywatch: cannot read {args.input}: {exc}", file=sys.stderr)
-        return EXIT_UNPARSEABLE
-    except (UnicodeDecodeError, ParseError) as exc:
-        print(f"daywatch: unparseable input: {exc}", file=sys.stderr)
-        return EXIT_UNPARSEABLE
-    except ValidationError as exc:
-        print(f"daywatch: inadmissible record: {exc}", file=sys.stderr)
-        return EXIT_DEGRADED
-
-
-def _config_from(args) -> RunConfig:
-    return RunConfig(equality_tolerance=args.tolerance,
-                     up_log_mode=args.up_log_mode)
-
-
-def _cmd_run(args) -> int:
-    records = _load_records(args)
-    if isinstance(records, int):
-        return records
-    try:
-        config = _config_from(args)
-    except ValueError as exc:
-        print(f"daywatch: {exc}", file=sys.stderr)
-        return EXIT_DEGRADED
-    any_degraded = False
-    for record in records:
-        report = run_watch(record, config)
-        any_degraded = any_degraded or report.degraded
-        sys.stdout.write(emit_report(report, args.output))
+        for row, record in records:
+            try:
+                report = run_watch(record, config)
+            except ValidationError as exc:
+                print(f"daywatch: inadmissible record: {exc.with_row(row)}",
+                      file=sys.stderr)
+                any_degraded = True
+                continue
+            any_degraded = any_degraded or report.degraded
+            out.write(emit_report(report, args.output))
+            del report  # hold none while the next record is evaluated
+    finally:  # the reports made before a parse error still go out
+        out.close()
     return EXIT_DEGRADED if any_degraded else EXIT_OK
 
 
-def _cmd_sweep(args) -> int:
-    records = _load_records(args)
-    if isinstance(records, int):
-        return records
-    if not records:
-        print("daywatch: sweep needs at least one base record",
-              file=sys.stderr)
-        return EXIT_UNPARSEABLE
+def _cmd_sweep(args, config, records) -> int:
     try:
-        config = _config_from(args)
         spec = SweepSpec(parameter=args.param, start=args.start,
                          stop=args.stop, steps=args.steps)
     except ValueError as exc:
         print(f"daywatch: {exc}", file=sys.stderr)
         return EXIT_DEGRADED
-    # Rows go out in blocks of a buffer's size, one write each, also when
-    # stdout is unbuffered (python -u); only rows outlive a step, so one
-    # report at a time is alive.
-    block = io.StringIO()
-    writer = csv.writer(block, lineterminator="\n")
+    _, base = next(records, (None, None))  # the only record read
+    if base is None:
+        print("daywatch: sweep needs at least one base record",
+              file=sys.stderr)
+        return EXIT_UNPARSEABLE
+    # only rows outlive a step, so one report at a time is alive
+    out = _Blocks()
+    writer = csv.writer(out, lineterminator="\n")
     writer.writerow(SWEEP_COLUMNS)
     degraded = SWEEP_COLUMNS.index("degraded")
     clean = True
-    for row in map(sweep_row, sweep(records[0], spec, config)):
+    for row in map(sweep_row, sweep(base, spec, config)):
         writer.writerow(row)  # csv writes None as ""
         clean = clean and not row[degraded]
-        if block.tell() >= io.DEFAULT_BUFFER_SIZE:
-            sys.stdout.write(block.getvalue())
-            block.seek(block.truncate(0))
-    sys.stdout.write(block.getvalue())
+    out.close()
     return EXIT_OK if clean else EXIT_DEGRADED
 
 
-def _cmd_check(args) -> int:
+def _cmd_check() -> int:
     results = run_all()
     for result in results:
         status = "PASS" if result.passed else "FAIL"
@@ -169,8 +161,30 @@ def _cmd_check(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    handlers = {"run": _cmd_run, "sweep": _cmd_sweep, "check": _cmd_check}
-    return handlers[args.command](args)
+    try:
+        if args.command == "check":
+            return _cmd_check()
+        try:
+            handle = open(args.input, "r", encoding="utf-8")
+        except OSError as exc:
+            print(f"daywatch: cannot read {args.input}: {exc}",
+                  file=sys.stderr)
+            return EXIT_UNPARSEABLE
+        with handle:
+            try:
+                config = RunConfig(equality_tolerance=args.tolerance,
+                                   up_log_mode=args.up_log_mode)
+            except ValueError as exc:
+                print(f"daywatch: {exc}", file=sys.stderr)
+                return EXIT_DEGRADED
+            command = _cmd_run if args.command == "run" else _cmd_sweep
+            return command(args, config, parse_records(handle, args.format))
+    except (UnicodeDecodeError, ParseError) as exc:
+        print(f"daywatch: unparseable input: {exc}", file=sys.stderr)
+        return EXIT_UNPARSEABLE
+    except BrokenPipeError:  # reader gone: the exit-time flush goes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

@@ -5,6 +5,9 @@ Input formats
            row; `date` is an opaque pass-through label and may be empty
     json   an array of objects carrying the same keys; `date` optional
 
+Records stream: parse_records yields each record unvalidated as its row
+is read, so run_watch is the one validator.
+
 Report serialization is deterministic: fixed key order, shortest
 round-trip decimals, and undefined quantities as null next to a flag or
 error record saying why.  Serializing the same report twice yields
@@ -28,18 +31,18 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import io as _io
+import itertools
 import json
 import math
 import operator
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _encode_string
 
 from .config import RunConfig
 from .errors import ErrorRecord, ParseError, ValidationError
 from .grid_analysis import StateClassification
-from .inputs import FIELD_ORDER, InputParameters, validate
+from .inputs import FIELD_ORDER, InputParameters
 from .watch import ReportFlags, WatchReport, run_watch
 
 CSV_HEADER = ("date",) + FIELD_ORDER
@@ -82,56 +85,46 @@ _leaves = operator.itemgetter(*(key for key in _SLOTS if key != "errors"))
 _error_fields = operator.attrgetter(*_ERROR_KEYS)
 
 
-def _record_from_strings(row_number: int, date: str,
-                         fields: dict[str, str]) -> InputParameters:
-    numbers: dict[str, float] = {}
-    for name, text in fields.items():
-        try:
-            numbers[name] = float(text)
-        except ValueError:
-            raise ParseError(row_number,
-                             f"field {name!r} is not a number: {text!r}") \
-                from None
-    params = InputParameters(date=date or None, **numbers)
-    try:
-        validate(params)
-    except ValidationError as exc:
-        raise exc.with_row(row_number) from None
-    return params
-
-
-def _parse_csv(text: str) -> list[InputParameters]:
-    rows = list(csv.reader(_io.StringIO(text)))
-    if not rows:
-        return []
-    header = tuple(cell.strip() for cell in rows[0])
+def _parse_csv(lines: Iterable[str]) -> Iterator[tuple[int, InputParameters]]:
+    # blank lines before the header are skipped, and input without a
+    # header row is an empty batch
+    rows = csv.reader(itertools.dropwhile(str.isspace, lines))
+    header = tuple(cell.strip() for cell in next(rows, CSV_HEADER))
     if header != CSV_HEADER:
         raise ParseError(1, "header must be exactly "
                             f"{','.join(CSV_HEADER)!r}, got "
                             f"{','.join(header)!r}")
-    records = []
-    for row_number, row in enumerate(rows[1:], start=1):
+    for row_number, row in enumerate(rows, start=1):
         if not row:  # blank line
             continue
         if len(row) != len(CSV_HEADER):
             raise ParseError(row_number,
                              f"expected {len(CSV_HEADER)} fields, "
                              f"got {len(row)}")
-        fields = dict(zip(FIELD_ORDER, (cell.strip() for cell in row[1:])))
-        records.append(_record_from_strings(row_number, row[0].strip(),
-                                            fields))
-    return records
+        numbers = {}
+        for name, text in zip(FIELD_ORDER, map(str.strip, row[1:])):
+            try:
+                numbers[name] = float(text)
+            except ValueError:
+                raise ParseError(row_number, f"field {name!r} is not a "
+                                 f"number: {text!r}") from None
+        yield row_number, InputParameters(date=row[0].strip() or None,
+                                          **numbers)
 
 
-def _parse_json(text: str) -> list[InputParameters]:
+def _parse_json(lines: Iterable[str]) -> Iterator[tuple[int, InputParameters]]:
+    # the stdlib has no streaming decoder, so the text is decoded whole
+    text = "".join(lines)
+    if not text.strip():
+        return
     try:
         payload = json.loads(text)
     except (ValueError, RecursionError) as exc:
         # ValueError is also raised for an int past the digit limit
         raise ParseError(0, f"not valid JSON: {exc}") from None
+    del text  # not kept alive while the records are evaluated
     if not isinstance(payload, list):
         raise ParseError(0, "top level must be an array of records")
-    records = []
     for row_number, entry in enumerate(payload, start=1):
         if not isinstance(entry, dict):
             raise ParseError(row_number, "record must be an object")
@@ -157,30 +150,21 @@ def _parse_json(text: str) -> list[InputParameters]:
                 numbers[name] = float(value)
             except OverflowError:  # an int past the double range
                 numbers[name] = math.inf if value > 0 else -math.inf
-        params = InputParameters(date=date, **numbers)
-        try:
-            validate(params)
-        except ValidationError as exc:
-            raise exc.with_row(row_number) from None
-        records.append(params)
-    return records
+        yield row_number, InputParameters(date=date, **numbers)
 
 
-def parse_records(text: str, format: str = "csv") -> list[InputParameters]:
-    """Parse and validate a batch of input records.
+def parse_records(lines: Iterable[str], format: str = "csv"
+                  ) -> Iterator[tuple[int, InputParameters]]:
+    """Yield (row_number, record) from text lines, one row at a time.
 
-    Empty input is an empty batch in either format.  Raises ParseError
-    when the text cannot be read as records at all, ValidationError
-    (with the row number) when a record is readable but inadmissible.
+    `lines` is an open text file or io.StringIO(text).  Records are not
+    validated (run_watch does that).  Whitespace-only input is an empty
+    batch.  Iteration raises ParseError at the first unreadable row.
     """
     if format not in INPUT_FORMATS:
         raise ValueError(f"format must be one of {INPUT_FORMATS}, "
                          f"got {format!r}")
-    if not text.strip():
-        return []
-    if format == "csv":
-        return _parse_csv(text)
-    return _parse_json(text)
+    return _parse_csv(lines) if format == "csv" else _parse_json(lines)
 
 
 def _state_values(states: StateClassification) -> dict[str, str | None]:
@@ -305,6 +289,8 @@ class SweepSpec:
             raise ValueError(f"steps must be at least 2, got {self.steps!r}")
 
     def value_at(self, index: int) -> float:
+        if index == self.steps - 1:  # the formula may miss stop by an ulp
+            return self.stop
         return self.start + index * (self.stop - self.start) / (self.steps - 1)
 
 

@@ -188,7 +188,7 @@ def _defined(function: Callable[..., object], *args):
 
 def run_watch(params: InputParameters,
               config: RunConfig | None = None) -> WatchReport:
-    """Run the full day-ahead pipeline for one validated record.
+    """Validate one record and run the full day-ahead pipeline on it.
 
     Raises ValidationError for inadmissible inputs; every failure past
     validation is captured inside the report instead of raised.

@@ -1,7 +1,9 @@
 """Parsing, serialization, sweeps, and the command-line surface."""
 
+import csv
 import dataclasses
 import io
+import itertools
 import json
 import math
 import os
@@ -14,7 +16,7 @@ from pathlib import Path
 
 import jsonschema
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import daywatch
@@ -23,11 +25,11 @@ from daywatch import (
     ParseError,
     RunConfig,
     SweepSpec,
-    ValidationError,
     emit_report,
     parse_records,
     run_watch,
     sweep,
+    validate,
 )
 from daywatch.cli import main
 from daywatch.errors import ErrorRecord
@@ -55,6 +57,11 @@ EDGE_FLOATS = (-0.0, 5e-324, 1.7976931348623157e308)
 def payload_of(record, **config):
     report = run_watch(record, RunConfig(**config) if config else None)
     return json.loads(emit_report(report))
+
+
+def parsed(text, format="csv"):
+    """The records parse_records reads from text, without their rows."""
+    return [record for _, record in parse_records(io.StringIO(text), format)]
 
 
 def documents_of(out):
@@ -121,14 +128,14 @@ class TestParseCsv:
     def test_happy_path(self):
         text = ("date,t6_1,t6_2,t16,t24,k_c,c_0,delta\n"
                 "2026-01-01,6,6,16,24,4,50,0.035\n")
-        (record,) = parse_records(text)
+        (record,) = parsed(text)
         assert record == InputParameters(
             t6_1=6.0, t6_2=6.0, t16=16.0, t24=24.0,
             k_c=4.0, c_0=50.0, delta=0.035, date="2026-01-01",
         )
 
     def test_corpus_parses(self, records_csv):
-        records = parse_records(records_csv)
+        records = parsed(records_csv)
         assert len(records) == 7
         assert records[0].date == "2026-01-01"
         assert records[-1].date is None  # empty date cell
@@ -136,46 +143,50 @@ class TestParseCsv:
     def test_cells_may_carry_spaces(self):
         text = ("date,t6_1,t6_2,t16,t24,k_c,c_0,delta\n"
                 " d , 6 ,6,16,24,4,50, 0.035 \n")
-        (record,) = parse_records(text)
+        (record,) = parsed(text)
         assert record.date == "d"
         assert record.delta == 0.035
 
     @pytest.mark.parametrize("format", ["csv", "json"])
     def test_empty_text_is_an_empty_batch(self, format):
-        assert parse_records("", format) == []
-        assert parse_records("   \n  ", format) == []
+        assert parsed("", format) == []
+        assert parsed("   \n  ", format) == []
 
     def test_header_only_is_an_empty_batch(self):
-        assert parse_records(",".join(CSV_HEADER) + "\n") == []
+        assert parsed(",".join(CSV_HEADER) + "\n") == []
 
     def test_wrong_header(self):
         with pytest.raises(ParseError) as excinfo:
-            parse_records("t6_1,t6_2\n1,2\n")
+            parsed("t6_1,t6_2\n1,2\n")
         assert excinfo.value.row == 1
         assert "header" in str(excinfo.value)
 
     def test_wrong_field_count(self):
         text = ",".join(CSV_HEADER) + "\nd,1,2,3\n"
         with pytest.raises(ParseError) as excinfo:
-            parse_records(text)
+            parsed(text)
         assert excinfo.value.row == 1
 
     def test_non_numeric_field(self):
         text = (",".join(CSV_HEADER)
                 + "\nd,6,6,16,24,4,50,0.035\nd,6,6,abc,24,4,50,0.035\n")
         with pytest.raises(ParseError) as excinfo:
-            parse_records(text)
+            parsed(text)
         assert excinfo.value.row == 2
         assert "'t16'" in str(excinfo.value)
         assert "'abc'" in str(excinfo.value)
 
-    def test_inadmissible_record_carries_its_row(self):
-        text = (",".join(CSV_HEADER)
-                + "\nd,6,6,16,24,4,50,0.035\nd,-1,6,16,24,4,50,0.035\n")
-        with pytest.raises(ValidationError) as excinfo:
-            parse_records(text)
-        assert excinfo.value.row == 2
-        assert excinfo.value.fields == ("t6_1",)
+    def test_rows_are_read_as_they_are_needed(self):
+        def lines():
+            yield ",".join(CSV_HEADER) + "\n"
+            yield "d,6,6,16,24,4,50,0.035\n"
+            raise AssertionError("line 3 was read")
+
+        records = parse_records(lines())
+        row, record = next(records)
+        assert (row, record.t16) == (1, 16.0)
+        with pytest.raises(AssertionError):
+            next(records)
 
 
 class TestParseJson:
@@ -187,50 +198,49 @@ class TestParseJson:
 
     def test_happy_path(self):
         text = json.dumps([self.record(date="2026-01-01"), self.record()])
-        records = parse_records(text, "json")
+        records = parsed(text, "json")
         assert len(records) == 2
         assert records[0].date == "2026-01-01"
         assert records[1].date is None
         assert records[1].t16 == 16.0
 
     def test_null_date(self):
-        (record,) = parse_records(json.dumps([self.record(date=None)]),
-                                  "json")
+        (record,) = parsed(json.dumps([self.record(date=None)]), "json")
         assert record.date is None
 
     def test_bool_is_rejected(self):
         with pytest.raises(ParseError) as excinfo:
-            parse_records(json.dumps([self.record(k_c=True)]), "json")
+            parsed(json.dumps([self.record(k_c=True)]), "json")
         assert "'k_c'" in str(excinfo.value)
 
     def test_unknown_field(self):
         with pytest.raises(ParseError) as excinfo:
-            parse_records(json.dumps([self.record(extra=1)]), "json")
+            parsed(json.dumps([self.record(extra=1)]), "json")
         assert "extra" in str(excinfo.value)
 
     def test_missing_field(self):
         entry = self.record()
         del entry["c_0"]
         with pytest.raises(ParseError) as excinfo:
-            parse_records(json.dumps([entry]), "json")
+            parsed(json.dumps([entry]), "json")
         assert "c_0" in str(excinfo.value)
 
     def test_top_level_must_be_an_array(self):
         with pytest.raises(ParseError):
-            parse_records(json.dumps(self.record()), "json")
+            parsed(json.dumps(self.record()), "json")
 
     def test_records_must_be_objects(self):
         with pytest.raises(ParseError) as excinfo:
-            parse_records("[42]", "json")
+            parsed("[42]", "json")
         assert excinfo.value.row == 1
 
     def test_invalid_json(self):
         with pytest.raises(ParseError):
-            parse_records("{not json", "json")
+            parsed("{not json", "json")
 
     def test_unknown_format_is_a_usage_error(self):
         with pytest.raises(ValueError):
-            parse_records("x", "xml")
+            parsed("x", "xml")
 
 
 class TestSerialization:
@@ -276,12 +286,12 @@ class TestSerialization:
             .read_text(encoding="utf-8")
         )
         validator = jsonschema.Draft202012Validator(schema)
-        for record in parse_records(records_csv):
+        for record in parsed(records_csv):
             for mode in ("strict", "absolute"):
                 validator.validate(payload_of(record, up_log_mode=mode))
 
     def test_emitted_json_is_strictly_finite(self, records_csv):
-        for record in parse_records(records_csv):
+        for record in parsed(records_csv):
             text = emit_report(run_watch(record))
             assert "NaN" not in text
             assert "Infinity" not in text
@@ -371,6 +381,24 @@ class TestSweep:
             0.0, 0.25, 0.5, 0.75, 1.0
         ]
 
+    @settings(max_examples=500, deadline=None)
+    @given(st.floats(-1e3, 1e3), st.floats(1e-3, 1e3),
+           st.integers(2, 10_000))
+    @example(1.56, 9.5 - 1.56, 12)  # the formula gave 9.499999999999998
+    def test_last_point_is_exactly_stop(self, start, width, steps):
+        stop = start + width
+        assume(start < stop)
+        spec = SweepSpec(parameter="t16", start=start, stop=stop, steps=steps)
+        assert spec.value_at(0) == start
+        assert spec.value_at(steps - 1) == stop
+
+    def test_last_point_is_evaluated_at_stop(self, clean):
+        # 9.499999999999998 is on the doubling branch of t16, 9.5 is not
+        spec = SweepSpec(parameter="t16", start=1.56, stop=9.5, steps=12)
+        *_, last = sweep(clean, spec)
+        assert last.value == 9.5
+        assert last.report == run_watch(dataclasses.replace(clean, t16=9.5))
+
     def test_sweep_covers_every_point_in_order(self, clean):
         spec = SweepSpec(parameter="delta", start=0.0, stop=1.0, steps=101)
         entries = list(sweep(clean, spec))
@@ -413,8 +441,8 @@ class TestSweep:
                 assert row["error"] is None
 
 
-def run_child(*args):
-    """Run the interpreter with args, importing the daywatch under test.
+def child_env():
+    """The environment of a child that imports the daywatch under test.
 
     The child sees the same daywatch as this test, whether pytest found it
     through PYTHONPATH or through its own pythonpath setting.
@@ -422,8 +450,14 @@ def run_child(*args):
     source = str(Path(daywatch.__file__).parents[1])
     path = os.pathsep.join(filter(None, [source,
                                          os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def run_child(*args):
+    """Run the interpreter with args, importing the daywatch under test."""
     return subprocess.run([sys.executable, *args], capture_output=True,
-                          text=True, env={**os.environ, "PYTHONPATH": path})
+                          text=True, env=child_env())
+
 
 
 class TestCli:
@@ -438,6 +472,14 @@ class TestCli:
             "date,t6_1,t6_2,t16,t24,k_c,c_0,delta\n"
             "2026-01-01,6,6,16,24,4,50,0.035\n",
         )
+
+    def rows_csv(self, tmp_path, count):
+        """count copies of the baseline record, dated 1 to count."""
+        return self.write(
+            tmp_path, f"rows{count}.csv",
+            "date,t6_1,t6_2,t16,t24,k_c,c_0,delta\n" + "".join(
+                f"{day},6,6,16,24,4,50,0.035\n"
+                for day in range(1, count + 1)))
 
     def test_run_reports_degradation_in_the_exit_code(self, tmp_path, capsys):
         code = main(["run", "--input", self.baseline_csv(tmp_path)])
@@ -567,6 +609,66 @@ class TestCli:
         assert code == 2
         assert "inadmissible" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("format", ["csv", "json"])
+    def test_inadmissible_record_carries_its_row(self, tmp_path, capsys,
+                                                 format):
+        entries = [dict(date=date, t6_1=6, t6_2=6, t16=16, t24=24, k_c=4,
+                        c_0=50, delta=0.035) for date in "abc"]
+        entries[1]["t6_1"] = -1
+        text = json.dumps(entries) if format == "json" else "".join(
+            ",".join(str(entry[key]) for key in CSV_HEADER) + "\n"
+            for entry in [dict(zip(CSV_HEADER, CSV_HEADER))] + entries)
+        path = self.write(tmp_path, f"three.{format}", text)
+        code = main(["run", "--input", path, "--format", format])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert [d["input"]["date"] for d in documents_of(captured.out)] \
+            == ["a", "c"]
+        assert captured.err == ("daywatch: inadmissible record: row 2: "
+                                "NonPositiveTime(t6_1) value=-1.0\n")
+
+    def test_malformed_row_ends_the_run_after_the_rows_before_it(
+            self, tmp_path, capsys):
+        path = self.write(
+            tmp_path, "malformed.csv",
+            "date,t6_1,t6_2,t16,t24,k_c,c_0,delta\n"
+            "a,6,6,16,24,4,50,0.035\n"
+            "b,6,6,16,24,4,50,0.035\n"
+            "c,6,6,abc,24,4,50,0.035\n"
+            "d,6,6,16,24,4,50,0.035\n",
+        )
+        code = main(["run", "--input", path])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert [d["input"]["date"] for d in documents_of(captured.out)] \
+            == ["a", "b"]
+        assert captured.err.startswith("daywatch: unparseable input: row 3: ")
+
+    def test_long_day_is_warned_once(self, tmp_path, capsys, caplog):
+        path = self.write(tmp_path, "long.csv",
+                          "date,t6_1,t6_2,t16,t24,k_c,c_0,delta\n"
+                          "d,6,6,60,24,4,50,0.035\n")
+        main(["run", "--input", path])
+        assert sum("exceeds 48.0 h" in record.getMessage()
+                   for record in caplog.records) == 1
+
+    def test_run_validates_each_record_once(self, tmp_path, capsys,
+                                            monkeypatch, records_csv):
+        calls = []
+
+        def counted(params):
+            calls.append(params)
+            return validate(params)
+
+        # every module that could call validate, by whatever name it holds
+        for module in (daywatch.inputs, daywatch.io, daywatch.watch,
+                       daywatch.cli):
+            if getattr(module, "validate", None) is validate:
+                monkeypatch.setattr(module, "validate", counted)
+        main(["run", "--input", self.write(tmp_path, "records.csv",
+                                           records_csv)])
+        assert len(calls) == len(parsed(records_csv)) == 7
+
     def test_bad_tolerance_degrades(self, tmp_path, capsys):
         code = main(["run", "--input", self.baseline_csv(tmp_path),
                      "--tolerance", "-1"])
@@ -595,8 +697,19 @@ class TestCli:
         assert len(lines) == 6
         assert lines[1].startswith("0.0,")
 
-    def test_sweep_holds_one_report_at_a_time(self, tmp_path, capsys,
-                                              monkeypatch):
+    def command(self, tmp_path, name, points):
+        """The argv of a run over points records or a sweep of points."""
+        if name == "run":
+            return ["run", "--input", self.rows_csv(tmp_path, points)]
+        return ["sweep", "--input", self.baseline_csv(tmp_path),
+                "--param", "t16", "--from", "5", "--to", "15",
+                "--steps", str(points)]
+
+    @pytest.mark.parametrize("name, module", [("run", "cli"),
+                                              ("sweep", "io")],
+                             ids=["run", "sweep"])
+    def test_holds_one_report_at_a_time(self, tmp_path, capsys, monkeypatch,
+                                        name, module):
         reports = []  # a weak reference to each report made
         alive = []    # how many of them are alive as each evaluation starts
 
@@ -606,15 +719,19 @@ class TestCli:
             reports.append(weakref.ref(report))
             return report
 
-        monkeypatch.setattr(daywatch.io, "run_watch", watched)
-        code = main(["sweep", "--input", self.baseline_csv(tmp_path),
-                     "--param", "delta", "--from", "0", "--to", "1",
-                     "--steps", "5"])
-        assert code == 2
-        assert len(capsys.readouterr().out.splitlines()) == 6
+        monkeypatch.setattr(getattr(daywatch, module), "run_watch", watched)
+        assert main(self.command(tmp_path, name, 5)) == 2
+        out = capsys.readouterr().out
+        assert (len(documents_of(out)) if name == "run"
+                else len(out.splitlines()) - 1) == 5
         assert alive == [0] * 5
 
-    def test_sweep_writes_rows_in_blocks(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("name, points, piece", [
+        ("run", 12, r"(?s).*?\n}\n"),  # a report
+        ("sweep", 1001, r".*\n"),     # a row
+    ], ids=["run", "sweep"])
+    def test_writes_in_blocks(self, tmp_path, monkeypatch, name, points,
+                              piece):
         class Recorder:  # an unbuffered stdout: each write goes out alone
             def __init__(self):
                 self.writes = []
@@ -623,22 +740,57 @@ class TestCli:
                 self.writes.append(text)
                 return len(text)
 
+            def flush(self):
+                pass
+
         stdout = Recorder()
         monkeypatch.setattr(sys, "stdout", stdout)
-        code = main(["sweep", "--input", self.baseline_csv(tmp_path),
-                     "--param", "t16", "--from", "5", "--to", "15",
-                     "--steps", "1001"])
-        assert code == 2
-        lines = "".join(stdout.writes).splitlines()
-        assert len(lines) == 1002
-        longest = max(len(line) + 1 for line in lines)
-        # every write but the last is one block, of at least the buffer size
-        assert len(stdout.writes) >= 2
-        for text in stdout.writes[:-1]:
-            assert text.endswith("\n")
-            assert io.DEFAULT_BUFFER_SIZE <= len(text) \
+        assert main(self.command(tmp_path, name, points)) == 2
+        out = "".join(stdout.writes)
+        pieces = re.findall(piece, out)
+        assert "".join(pieces) == out
+        assert len(pieces) == points + (name == "sweep")  # sweep's header
+        longest = max(map(len, pieces))
+        sizes = [len(text) for text in stdout.writes]
+        # each write is whole pieces; every write but the last is one
+        # block, of at least the buffer size
+        assert set(itertools.accumulate(sizes)) \
+            <= set(itertools.accumulate(map(len, pieces)))
+        assert len(sizes) >= 2
+        for size in sizes[:-1]:
+            assert io.DEFAULT_BUFFER_SIZE <= size \
                 < io.DEFAULT_BUFFER_SIZE + longest
-        assert 0 < len(stdout.writes[-1]) < io.DEFAULT_BUFFER_SIZE + longest
+        assert 0 < sizes[-1] < io.DEFAULT_BUFFER_SIZE + longest
+
+    @pytest.mark.parametrize("name", ["run", "sweep"])
+    def test_closed_stdout_ends_quietly(self, tmp_path, name):
+        child = subprocess.Popen(
+            [sys.executable, "-m", "daywatch",
+             *self.command(tmp_path, name, 3000)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env())
+        assert len(child.stdout.read(100)) == 100
+        child.stdout.close()  # as `| head -c 100` does
+        stderr = child.stderr.read()
+        child.stderr.close()
+        assert child.wait() == 141
+        assert stderr == b""
+
+    def test_sweep_of_an_inadmissible_base_writes_error_rows(self, tmp_path,
+                                                             capsys):
+        path = self.write(tmp_path, "bad.csv",
+                          "date,t6_1,t6_2,t16,t24,k_c,c_0,delta\n"
+                          "d,-1,6,16,24,4,50,0.035\n")
+        code = main(["sweep", "--input", path, "--param", "delta",
+                     "--from", "0", "--to", "1", "--steps", "5"])
+        captured = capsys.readouterr()
+        assert code == 2
+        rows = list(csv.DictReader(io.StringIO(captured.out)))
+        assert [row["value"] for row in rows] == [
+            "0.0", "0.25", "0.5", "0.75", "1.0"]
+        for row in rows:
+            assert row["degraded"] == "True"
+            assert row["trade_volume_pct"] == ""
+            assert row["error"] == "NonPositiveTime(t6_1) value=-1.0"
 
     def test_sweep_rejects_a_bad_spec(self, tmp_path, capsys):
         code = main(["sweep", "--input", self.baseline_csv(tmp_path),
