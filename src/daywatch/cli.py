@@ -4,10 +4,16 @@ Exit codes
     0   every processed record was clean (or all checks passed)
     1   a self-check failed
     2   at least one record degraded: errors, anomaly flags, or
-        inadmissible parameter values
+        inadmissible parameter values; or an option value was bad
     3   the input could not be read, or a row of it could not be parsed
         (the reports of the rows before it are still written)
     141 stdout was closed early (128 + SIGPIPE)
+
+The first problem found sets the code, in this order: a usage error
+(2, from argparse), an input file that cannot be opened (3), a bad
+--tolerance, --steps, --from or --to (2), then the input's contents.
+So `run --input <bad header> --tolerance -1` exits 2, and `sweep` of a
+header-only file with --steps 1 exits 2, not 3.
 
 run evaluates and writes one record at a time; an inadmissible record is
 named on stderr with its row number, and the batch goes on.

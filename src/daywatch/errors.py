@@ -11,6 +11,7 @@ serialized reports byte-deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class DaywatchError(Exception):
@@ -55,8 +56,7 @@ class ParseError(DaywatchError):
         super().__init__(f"row {row}: {detail}")
 
 
-@dataclass(frozen=True)
-class ErrorRecord:
+class ErrorRecord(NamedTuple):
     """Serializable form of a computation error inside a report."""
 
     stage: str
@@ -66,34 +66,30 @@ class ErrorRecord:
     value: float | None = None
 
     def as_dict(self) -> dict:
-        return {
-            "stage": self.stage,
-            "quantity": self.quantity,
-            "error": self.error,
-            "detail": self.detail,
-            "value": self.value,
-        }
+        return self._asdict()
 
 
 class ComputationError(DaywatchError):
-    """Domain failure inside one pipeline formula."""
+    """Domain failure inside one pipeline formula.
+
+    The message is built only when asked for: the pipeline turns every
+    raise into an ErrorRecord and never reads it.
+    """
 
     def __init__(self, stage: str, quantity: str, detail: str, value=None):
         self.stage = stage
         self.quantity = quantity
         self.detail = detail
         self.value = value
-        suffix = "" if value is None else f" (value={value!r})"
-        super().__init__(f"{stage}/{quantity}: {detail}{suffix}")
+
+    def __str__(self) -> str:
+        suffix = "" if self.value is None else f" (value={self.value!r})"
+        return f"{self.stage}/{self.quantity}: {self.detail}{suffix}"
 
     def record(self) -> ErrorRecord:
-        return ErrorRecord(
-            stage=self.stage,
-            quantity=self.quantity,
-            error=type(self).__name__,
-            detail=self.detail,
-            value=None if self.value is None else float(self.value),
-        )
+        return ErrorRecord(self.stage, self.quantity, type(self).__name__,
+                           self.detail,
+                           None if self.value is None else float(self.value))
 
 
 class NonPositivePermanent(ComputationError):

@@ -44,8 +44,8 @@ and a threat level.  Their comparison structure is deliberate:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import (
     NegativeRadicand,
@@ -106,22 +106,19 @@ class ThreatLevel(str, Enum):
     SEVERE = "severe"
 
 
-@dataclass(frozen=True)
-class Distances:
+class Distances(NamedTuple):
     r_e: float | None
     r_h: float | None
     r_c: float | None
 
 
-@dataclass(frozen=True)
-class ReliabilityProbabilities:
+class ReliabilityProbabilities(NamedTuple):
     p_s: float | None
     p_t: float | None
     p_g: float | None
 
 
-@dataclass(frozen=True)
-class StateClassification:
+class StateClassification(NamedTuple):
     market_state: OperatingState | None
     grid_state: OperatingState | None
     threat_level: ThreatLevel | None

@@ -24,7 +24,6 @@ omega2 = 2*l_y1/t2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import NegativeDiscriminant, RhoBelowTwo, ZeroTime
@@ -36,8 +35,7 @@ class SeparabilityRoot(NamedTuple):
     discriminant: float
 
 
-@dataclass(frozen=True)
-class GridModel:
+class GridModel(NamedTuple):
     e1: float
     e2: float
     omega1: float

@@ -14,13 +14,10 @@ T/10.
 
 from __future__ import annotations
 
-import logging
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ValidationError, Violation
-
-logger = logging.getLogger(__name__)
 
 DOUBLING_THRESHOLD_HOURS = 9.5
 LONG_DAY_HOURS = 48.0
@@ -30,8 +27,7 @@ NONNEGATIVE_FIELDS = ("k_c", "c_0", "delta")
 FIELD_ORDER = TIME_FIELDS + NONNEGATIVE_FIELDS
 
 
-@dataclass(frozen=True)
-class InputParameters:
+class InputParameters(NamedTuple):
     """One day-ahead record.  `date` is an opaque pass-through label."""
 
     t6_1: float
@@ -44,11 +40,10 @@ class InputParameters:
     date: str | None = None
 
     def values(self) -> dict[str, float]:
-        return {name: getattr(self, name) for name in FIELD_ORDER}
+        return dict(zip(FIELD_ORDER, self))
 
 
-@dataclass(frozen=True)
-class ScaledTimes:
+class ScaledTimes(NamedTuple):
     """The four dimensionless starred times feeding the evolution matrix."""
 
     t6_1_s: float
@@ -60,7 +55,7 @@ class ScaledTimes:
 def validate(params: InputParameters) -> InputParameters:
     """Check every invariant; raise one ValidationError naming all violations."""
     violations = []
-    for name, value in params.values().items():
+    for name, value in zip(FIELD_ORDER, params):
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             violations.append(Violation(name, "NonFinite", float("nan")))
             continue
@@ -72,11 +67,12 @@ def validate(params: InputParameters) -> InputParameters:
             violations.append(Violation(name, "NegativeParameter", value))
     if violations:
         raise ValidationError(violations)
-    for name in TIME_FIELDS:
-        value = getattr(params, name)
+    for name, value in zip(TIME_FIELDS, params):
         if value > LONG_DAY_HOURS:
-            logger.warning("%s = %r exceeds %s h; accepted but suspicious",
-                           name, value, LONG_DAY_HOURS)
+            import logging  # loaded only by the rare long day
+            logging.getLogger(__name__).warning(
+                "%s = %r exceeds %s h; accepted but suspicious",
+                name, value, LONG_DAY_HOURS)
     return params
 
 
@@ -88,9 +84,7 @@ def _scale(t: float, doubling: bool) -> float:
 
 
 def scale_times(params: InputParameters) -> ScaledTimes:
-    return ScaledTimes(
-        t6_1_s=_scale(params.t6_1, doubling=True),
-        t6_2_s=_scale(params.t6_2, doubling=False),
-        t16_s=_scale(params.t16, doubling=True),
-        t24_s=_scale(params.t24, doubling=False),
-    )
+    return ScaledTimes(_scale(params.t6_1, doubling=True),
+                       _scale(params.t6_2, doubling=False),
+                       _scale(params.t16, doubling=True),
+                       _scale(params.t24, doubling=False))

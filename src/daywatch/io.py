@@ -18,10 +18,13 @@ report_as_dict, the JSON report and the text report are all built from
 it.  Both emitters fill a %-template made once at import from the
 layout, with the report's leaf values gathered into one flat tuple.  The
 JSON is byte-identical to json.dumps(report_as_dict(report), indent=2,
-allow_nan=False) + "\n": every leaf is written by the rules of the
-stdlib encoder, and a non-finite float raises ValueError.  json.dumps is
-not called because any indent makes CPython 3.11 fall back to its
-pure-Python encoder, which took longer than computing the report.
+allow_nan=False) + "\n": one call of the stdlib's C encoder writes every
+leaf and every error-record field of a report as a flat array with NUL
+as its item separator, and the array is split on NUL into the template's
+slots.  A NUL inside a string comes out escaped as \u0000, so the split
+is exact, and a non-finite float raises ValueError.  json.dumps with an
+indent is not called because any indent makes CPython 3.11 fall back to
+its pure-Python encoder, which took longer than computing the report.
 
 Sweeps stream: sweep yields each point's entry as soon as it is evaluated,
 so a caller writes each sweep_row as it goes and holds one report at a time.
@@ -30,7 +33,6 @@ so a caller writes each sweep_row as it goes and holds one report at a time.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import itertools
 import json
 import math
@@ -61,8 +63,8 @@ _PROBABILITY_KEYS = ("p_s", "p_t", "p_g")
 _CHAIN_KEYS = ("r_small", "r_mid", "r_big")
 _MISS_KEYS = ("p1", "p2", "p3", "p4")
 # Attributes of the report's states, and of each of its error records.
-_STATE_KEYS = ("market_state", "grid_state", "threat_level")
-_ERROR_KEYS = tuple(field.name for field in dataclasses.fields(ErrorRecord))
+_STATE_KEYS = StateClassification._fields[:3]
+_ERROR_KEYS = ErrorRecord._fields
 
 # Every section of a report and its keys, in serialization order.  Each
 # key is one scalar leaf, except "errors", which holds the error records.
@@ -77,12 +79,17 @@ _LAYOUT = (
     ("watch", ("trade_volume_pct",) + _CHAIN_KEYS
      + ("p_false_alarm_raw", "p_false_alarm") + _MISS_KEYS
      + ("p_miss_raw", "p_miss", "errors")),
-    ("flags", tuple(field.name for field in dataclasses.fields(ReportFlags))),
+    ("flags", ReportFlags._fields),
 )
 _SLOTS = tuple(key for _, keys in _LAYOUT for key in keys)
 _ERRORS_SLOT = _SLOTS.index("errors")
-_leaves = operator.itemgetter(*(key for key in _SLOTS if key != "errors"))
-_error_fields = operator.attrgetter(*_ERROR_KEYS)
+_LEAF_COUNT = len(_SLOTS) - 1
+# The trace leaves of the report, in three runs between the other leaves.
+_block_leaves = operator.itemgetter(
+    *_EXPONENT_KEYS, *_MODEL_KEYS, *_POTENTIAL_KEYS, *_DISTANCE_KEYS,
+    *_PROBABILITY_KEYS)
+_chain_leaves = operator.itemgetter(*_CHAIN_KEYS)
+_miss_leaves = operator.itemgetter(*_MISS_KEYS)
 
 
 def _parse_csv(lines: Iterable[str]) -> Iterator[tuple[int, InputParameters]]:
@@ -101,15 +108,14 @@ def _parse_csv(lines: Iterable[str]) -> Iterator[tuple[int, InputParameters]]:
             raise ParseError(row_number,
                              f"expected {len(CSV_HEADER)} fields, "
                              f"got {len(row)}")
-        numbers = {}
+        numbers = []
         for name, text in zip(FIELD_ORDER, map(str.strip, row[1:])):
             try:
-                numbers[name] = float(text)
+                numbers.append(float(text))
             except ValueError:
                 raise ParseError(row_number, f"field {name!r} is not a "
                                  f"number: {text!r}") from None
-        yield row_number, InputParameters(date=row[0].strip() or None,
-                                          **numbers)
+        yield row_number, InputParameters(*numbers, row[0].strip() or None)
 
 
 def _parse_json(lines: Iterable[str]) -> Iterator[tuple[int, InputParameters]]:
@@ -139,7 +145,7 @@ def _parse_json(lines: Iterable[str]) -> Iterator[tuple[int, InputParameters]]:
         date = entry.get("date")
         if date is not None and not isinstance(date, str):
             raise ParseError(row_number, "date must be a string or null")
-        numbers = {}
+        numbers = []
         for name in FIELD_ORDER:
             value = entry[name]
             # bool is an int subtype; reject it explicitly
@@ -147,10 +153,10 @@ def _parse_json(lines: Iterable[str]) -> Iterator[tuple[int, InputParameters]]:
                 raise ParseError(row_number,
                                  f"field {name!r} is not a number: {value!r}")
             try:
-                numbers[name] = float(value)
+                numbers.append(float(value))
             except OverflowError:  # an int past the double range
-                numbers[name] = math.inf if value > 0 else -math.inf
-        yield row_number, InputParameters(date=date, **numbers)
+                numbers.append(math.inf if value > 0 else -math.inf)
+        yield row_number, InputParameters(*numbers, date)
 
 
 def parse_records(lines: Iterable[str], format: str = "csv"
@@ -167,19 +173,23 @@ def parse_records(lines: Iterable[str], format: str = "csv"
     return _parse_csv(lines) if format == "csv" else _parse_json(lines)
 
 
-def _state_values(states: StateClassification) -> dict[str, str | None]:
-    """Each state's string value by name, None where it is undefined."""
-    return {key: None if (state := getattr(states, key)) is None
-            else state.value for key in _STATE_KEYS}
+def _state_values(states: StateClassification) -> tuple[str | None, ...]:
+    """The _STATE_KEYS states' string values, None where undefined."""
+    market, grid, threat, _ = states
+    return (None if market is None else market.value,
+            None if grid is None else grid.value,
+            None if threat is None else threat.value)
 
 
 def _values(report: WatchReport) -> tuple:
     """The report's leaf values in _LAYOUT order, without the errors."""
-    # each leaf is looked up by its key among the trace, the report's own
-    # fields, the record, the states and the flags; only the inputs occur
-    # twice, and the record's copy wins
-    return _leaves({**report.trace, **vars(report), **vars(report.params),
-                    **_state_values(report.states), **vars(report.flags)})
+    # the inputs come from the record, not from their copies in the trace
+    params, trace = report.params, report.trace
+    return (params.date, *params[:len(FIELD_ORDER)], *_block_leaves(trace),
+            *_state_values(report.states), report.trade_volume_pct,
+            *_chain_leaves(trace), report.p_false_alarm_raw,
+            report.p_false_alarm, *_miss_leaves(trace), report.p_miss_raw,
+            report.p_miss, *report.flags)
 
 
 def report_as_dict(report: WatchReport) -> dict:
@@ -189,28 +199,6 @@ def report_as_dict(report: WatchReport) -> dict:
     return {section: {key: errors if key == "errors" else next(values)
                       for key in keys}
             for section, keys in _LAYOUT}
-
-
-def _json_scalar(value) -> str:
-    """One leaf exactly as json.dumps(..., allow_nan=False) writes it."""
-    # no float is also a str or an int, so testing floats first is safe
-    if isinstance(value, float):
-        if math.isfinite(value):
-            return float.__repr__(value)
-        raise ValueError("Out of range float values are not JSON "
-                         f"compliant: {value!r}")
-    if value is None:
-        return "null"
-    if isinstance(value, str):
-        return _encode_string(value)
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    raise TypeError(f"Object of type {type(value).__name__} "
-                    "is not JSON serializable")
 
 
 def _json_fields(keys: tuple[str, ...], indent: str) -> str:
@@ -229,17 +217,26 @@ _TEXT_TEMPLATE = "".join(
     for section, keys in _LAYOUT) + "degraded: %s\n"
 
 
-def _json_errors(errors: tuple[ErrorRecord, ...]) -> str:
-    if not errors:
+# the stdlib C encoder, writing a flat array with NUL between its items
+_ENCODER = json.JSONEncoder(allow_nan=False, separators=("\x00", ": "))
+
+
+def _json_errors(fields: list[str]) -> str:
+    """The errors array from its records' encoded fields, in order."""
+    if not fields:
         return "[]"
+    width = len(_ERROR_KEYS)
     return "[\n" + ",\n".join(
-        _JSON_ERROR % tuple(map(_json_scalar, _error_fields(record)))
-        for record in errors) + "\n    ]"
+        _JSON_ERROR % tuple(fields[start:start + width])
+        for start in range(0, len(fields), width)) + "\n    ]"
 
 
 def _emit_json(report: WatchReport) -> str:
-    slots = list(map(_json_scalar, _values(report)))
-    slots.insert(_ERRORS_SLOT, _json_errors(report.errors))
+    encoded = _ENCODER.encode(
+        [*_values(report), *itertools.chain.from_iterable(report.errors)]
+    )[1:-1].split("\x00")
+    slots, fields = encoded[:_LEAF_COUNT], encoded[_LEAF_COUNT:]
+    slots.insert(_ERRORS_SLOT, _json_errors(fields))
     return _JSON_TEMPLATE % tuple(slots)
 
 
@@ -313,7 +310,7 @@ def sweep(base: InputParameters, spec: SweepSpec,
     """
     for index in range(spec.steps):
         value = spec.value_at(index)
-        point = dataclasses.replace(base, **{spec.parameter: value})
+        point = base._replace(**{spec.parameter: value})
         try:
             entry = SweepEntry(value=value, report=run_watch(point, config),
                                error=None)
@@ -336,7 +333,7 @@ def sweep_row(entry: SweepEntry) -> tuple:
         return (entry.value, None, None, None, None, None, None, True,
                 entry.error)
     return (entry.value, report.trade_volume_pct,
-            *_state_values(report.states).values(), report.p_false_alarm,
+            *_state_values(report.states), report.p_false_alarm,
             report.p_miss, report.degraded,
             "; ".join(f"{r.error}({r.stage}/{r.quantity})"
                       for r in report.errors) or None)

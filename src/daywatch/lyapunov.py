@@ -34,7 +34,7 @@ cancels.  The self-check compares it with the exact 24-term expansion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ExponentialOverflow, NonPositivePermanent
 from .inputs import ScaledTimes
@@ -44,11 +44,12 @@ EvolutionMatrix = tuple[tuple[float, float, float, float], ...]
 
 
 def build_matrix(scaled: ScaledTimes) -> EvolutionMatrix:
+    t6_1_s, t6_2_s, t16_s, t24_s = scaled
     return (
-        (scaled.t6_1_s, scaled.t6_2_s, 1.0, 0.0),
-        (scaled.t24_s, scaled.t16_s, scaled.t6_2_s, 1.0),
-        (scaled.t16_s, scaled.t24_s, scaled.t16_s, scaled.t6_2_s),
-        (scaled.t6_2_s, scaled.t16_s, scaled.t24_s, scaled.t6_2_s),
+        (t6_1_s, t6_2_s, 1.0, 0.0),
+        (t24_s, t16_s, t6_2_s, 1.0),
+        (t16_s, t24_s, t16_s, t6_2_s),
+        (t6_2_s, t16_s, t24_s, t6_2_s),
     )
 
 
@@ -100,8 +101,7 @@ def droop_exponent(k_c: float) -> float:
         ) from None
 
 
-@dataclass(frozen=True)
-class LyapunovExponents:
+class LyapunovExponents(NamedTuple):
     """Both exponent pairs plus per(A), retained for diagnostics."""
 
     l_p1: float

@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import grid_analysis, grid_model, inputs, lyapunov
 from .config import RunConfig
@@ -52,8 +53,7 @@ from .inputs import InputParameters
 DROOP_PIVOT = 3.5
 
 
-@dataclass(frozen=True)
-class ReportFlags:
+class ReportFlags(NamedTuple):
     """The six named report flags.
 
     paper_gap_flag and the two out-of-range flags mark anomalies;
@@ -158,8 +158,9 @@ def _step(errors: list[ErrorRecord], stage: str, quantity: str,
     On domain failure record the reason and yield None.  Also converts
     float-machinery escapes (overflow, division by zero, inf/NaN
     results) into NonFiniteResult records so a report can never carry a
-    non-finite number.  Every step returns a float or a tuple of values
-    (SeparabilityRoot is a NamedTuple), so each returned float is checked.
+    non-finite number.  Every step returns a number or a tuple of numbers
+    (SeparabilityRoot is a NamedTuple, the clamp flags are bools), so
+    each returned number is checked.
     """
     if None in args:
         return None
@@ -172,13 +173,14 @@ def _step(errors: list[ErrorRecord], stage: str, quantity: str,
         errors.append(NonFiniteResult(
             stage, quantity, "evaluation left the float range").record())
         return None
-    parts = value if isinstance(value, tuple) else (value,)
-    for part in parts:
-        if isinstance(part, float) and not math.isfinite(part):
-            errors.append(NonFiniteResult(
-                stage, quantity, "result is not finite").record())
-            return None
-    return value
+    if isinstance(value, tuple):
+        if all(map(math.isfinite, value)):
+            return value
+    elif math.isfinite(value):
+        return value
+    errors.append(NonFiniteResult(
+        stage, quantity, "result is not finite").record())
+    return None
 
 
 def _defined(function: Callable[..., object], *args):

@@ -6,7 +6,6 @@ loosened; where a comparison needs a scale to be meaningful (the
 polynomial cross-check of criterion 4) the scale is stated in place.
 """
 
-import dataclasses
 import itertools
 import math
 import random
@@ -236,7 +235,7 @@ def test_criterion_8_error_path_integrity(clean, monkeypatch):
         real = grid_analysis.hyperbolic_distance
         patch.setattr(grid_analysis, "hyperbolic_distance",
                       lambda model: real(
-                          dataclasses.replace(model, e2=100.0)))
+                          model._replace(e2=100.0)))
         check(run_watch(clean), "NegativeRadicand")
 
     with monkeypatch.context() as patch:

@@ -82,6 +82,7 @@ class TestEnergyPotential:
         with pytest.raises(ZeroLp1) as excinfo:
             energy_potential(exponents(l_p1=0.0), t1=1.0)
         assert excinfo.value.quantity == "v1"
+        assert str(excinfo.value) == "grid-analysis/v1: l_p1 is zero"
 
     def test_regularizer_value(self):
         assert REGULARIZER == 1 / 16

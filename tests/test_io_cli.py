@@ -53,6 +53,11 @@ SEPARABILITY_DEPENDENTS = {"rho", "discriminant", "e2", "t2", "omega2", "p_x",
 # Floats at the edges of the double range and the sign of zero.
 EDGE_FLOATS = (-0.0, 5e-324, 1.7976931348623157e308)
 
+# A label the JSON encoder must escape: a NUL, which is also the item
+# separator emit_report splits the encoder's output on, a quote, a
+# backslash, a newline and non-ASCII text.
+ESCAPED_DATE = 'a\x00"\\\nü€'
+
 
 def payload_of(record, **config):
     report = run_watch(record, RunConfig(**config) if config else None)
@@ -105,7 +110,7 @@ def with_leaf(report, section, key, value):
     """The report with one numeric leaf of its dict form replaced."""
     if section == "input":
         return dataclasses.replace(
-            report, params=dataclasses.replace(report.params, **{key: value}))
+            report, params=report.params._replace(**{key: value}))
     if key in report.trace:
         return dataclasses.replace(report, trace={**report.trace, key: value})
     return dataclasses.replace(report, **{key: value})
@@ -341,6 +346,39 @@ class TestByteIdentity:
                 edited = with_leaf(report, section, key, value)
                 assert emit_report(edited) == reference_json(edited)
 
+    @pytest.mark.parametrize("format", ["csv", "json"])
+    def test_escaped_date_matches_the_reference(self, format):
+        entry = dict(date=ESCAPED_DATE, t6_1=6.0, t6_2=6.0, t16=16.0,
+                     t24=24.0, k_c=4.0, c_0=50.0, delta=0.035)
+        if format == "json":
+            text = json.dumps([entry])
+        else:
+            buffer = io.StringIO()
+            writer = csv.writer(buffer, lineterminator="\n")
+            writer.writerow(CSV_HEADER)
+            writer.writerow(entry[key] for key in CSV_HEADER)
+            text = buffer.getvalue()
+        (record,) = parsed(text, format)
+        assert record.date == ESCAPED_DATE
+        report = run_watch(record)
+        assert emit_report(report) == reference_json(report)
+        assert json.loads(emit_report(report))["input"]["date"] \
+            == ESCAPED_DATE
+
+    def test_error_records_match_the_reference(self, baseline):
+        report = run_watch(baseline)
+        # the baseline's own records carry float values
+        assert all(isinstance(record.value, float)
+                   for record in report.errors)
+        edited = dataclasses.replace(report, errors=(
+            ErrorRecord("grid-analysis", "r_c", "ZeroLp1", "l_p1 is zero"),
+            *report.errors,
+            ErrorRecord("watch", "p_miss_raw", "NegativeMissRadicand",
+                        ESCAPED_DATE, -2.5e-300)))
+        assert edited.errors[0].value is None
+        assert emit_report(edited) == reference_json(edited)
+        assert emit_report(edited, "text") == reference_text(edited)
+
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     def test_non_finite_leaf_is_refused(self, baseline, value):
         report = run_watch(baseline)
@@ -397,7 +435,7 @@ class TestSweep:
         spec = SweepSpec(parameter="t16", start=1.56, stop=9.5, steps=12)
         *_, last = sweep(clean, spec)
         assert last.value == 9.5
-        assert last.report == run_watch(dataclasses.replace(clean, t16=9.5))
+        assert last.report == run_watch(clean._replace(t16=9.5))
 
     def test_sweep_covers_every_point_in_order(self, clean):
         spec = SweepSpec(parameter="delta", start=0.0, stop=1.0, steps=101)
@@ -570,6 +608,25 @@ class TestCli:
         captured = capsys.readouterr()
         assert code == 3
         assert captured.err.startswith("daywatch: unparseable input: ")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command, text, options, code, fragment", [
+        ("run", None, ["--tolerance", "-1"], 3, "cannot read"),
+        ("run", "not,a,header\n", ["--tolerance", "-1"], 2, "tolerance"),
+        ("sweep", ",".join(CSV_HEADER) + "\n",
+         ["--param", "delta", "--from", "0", "--to", "1", "--steps", "1"],
+         2, "steps"),
+    ], ids=["run-missing-file", "run-bad-header", "sweep-header-only"])
+    def test_exit_code_order_of_config_errors(self, tmp_path, capsys,
+                                              command, text, options, code,
+                                              fragment):
+        # an unreadable file is found first, then a bad option, and only
+        # then the input's contents
+        path = str(tmp_path / "absent.csv") if text is None \
+            else self.write(tmp_path, "input.csv", text)
+        assert main([command, "--input", path, *options]) == code
+        captured = capsys.readouterr()
+        assert fragment in captured.err
         assert captured.out == ""
 
     @pytest.mark.parametrize("k_c, code, fragment", [
@@ -823,10 +880,11 @@ class TestCli:
         assert completed.stdout.count("PASS") == 3
 
     def test_cli_import_leaves_fractions_unloaded(self):
-        # only the self-check needs exact arithmetic; run and sweep
-        # should not pay for loading it
+        # only the self-check needs exact arithmetic, and only a long day
+        # needs logging; run and sweep should not pay for loading them
         completed = run_child(
             "-c", "import sys, daywatch.cli; "
-                  "print('fractions' in sys.modules)")
+                  "print('fractions' in sys.modules, "
+                  "'logging' in sys.modules)")
         assert completed.returncode == 0
-        assert completed.stdout == "False\n"
+        assert completed.stdout == "False False\n"

@@ -154,6 +154,8 @@ class TestExponents:
         assert record["quantity"] == "l_p2"
         assert record["error"] == "NonPositivePermanent"
         assert record["value"] == bad
+        assert str(excinfo.value) \
+            == f"lyapunov/l_p2: per(A) is not positive (value={bad!r})"
 
     def test_price_exponent(self):
         assert price_exponent(50.0) == pytest.approx(

@@ -10,11 +10,18 @@ from hypothesis import strategies as st
 
 from daywatch import (
     DegenerateChain,
+    Distances,
+    ErrorRecord,
+    GridModel,
     InputParameters,
+    LyapunovExponents,
     NegativeMissRadicand,
     OperatingState,
+    ReliabilityProbabilities,
     RunConfig,
+    ScaledTimes,
     SeparabilityRoot,
+    StateClassification,
     ThreatLevel,
     ValidationError,
     ZeroMiddle,
@@ -303,7 +310,7 @@ class TestRunWatchClean:
         report = run_watch(clean)
         healthy = dataclasses.replace(
             report,
-            flags=dataclasses.replace(report.flags, pf_out_of_range=False),
+            flags=report.flags._replace(pf_out_of_range=False),
             errors=(),
         )
         assert healthy.degraded is False
@@ -323,6 +330,19 @@ class TestRunWatchMisc:
             first = emit_report(run_watch(record))
             second = emit_report(run_watch(record))
             assert first == second
+
+    @pytest.mark.parametrize("record_type", [
+        InputParameters, ScaledTimes, LyapunovExponents, GridModel,
+        Distances, ReliabilityProbabilities, StateClassification,
+        ReportFlags, ErrorRecord,
+    ], ids=lambda record_type: record_type.__name__)
+    def test_records_are_immutable(self, record_type):
+        record = record_type(*[1.0] * len(record_type._fields))
+        with pytest.raises(AttributeError):
+            setattr(record, record_type._fields[0], 2.0)
+        with pytest.raises(AttributeError):
+            record.extra = 2.0
+        assert record == (1.0,) * len(record_type._fields)
 
     def test_clamp_flags_match_raw_values(self, clean, baseline):
         for record in (clean, baseline):
@@ -379,7 +399,7 @@ class TestFaultInjection:
         real = grid_analysis.hyperbolic_distance
         monkeypatch.setattr(
             grid_analysis, "hyperbolic_distance",
-            lambda model: real(dataclasses.replace(model, e2=100.0)),
+            lambda model: real(model._replace(e2=100.0)),
         )
         report = run_watch(clean)
         assert [e.error for e in report.errors] == ["NegativeRadicand"]
