@@ -1,11 +1,13 @@
 """Structured error taxonomy for the watch pipeline.
 
-Domain failures never escape as NaN or infinity.  Every computation
-error names the pipeline stage and the quantity it was computing, so a
-degraded report can state exactly which value is missing and why.  The
-`detail` string of each error is a fixed message per failure mode;
-numeric diagnostics ride in the separate `value` field.  This keeps
-serialized reports byte-deterministic.
+Domain failures never escape as NaN or infinity.  A formula raises a
+ComputationError whose class names what went wrong; its `detail` string
+is a fixed message per failure mode and numeric diagnostics ride in the
+separate `value` field, which keeps serialized reports
+byte-deterministic.  Where it went wrong is not the formula's to say:
+the pipeline step that called it (watch._step) knows the stage and the
+quantity it was computing, and builds the report's ErrorRecord from
+those plus the error's kind, detail and value.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ class ParseError(DaywatchError):
 
 
 class ErrorRecord(NamedTuple):
-    """Serializable form of a computation error inside a report."""
+    """Where a report's failure happened (its step) and what went wrong."""
 
     stage: str
     quantity: str
@@ -65,31 +67,21 @@ class ErrorRecord(NamedTuple):
     detail: str
     value: float | None = None
 
-    def as_dict(self) -> dict:
-        return self._asdict()
-
 
 class ComputationError(DaywatchError):
-    """Domain failure inside one pipeline formula.
+    """Domain failure inside one pipeline formula: what, not where.
 
     The message is built only when asked for: the pipeline turns every
     raise into an ErrorRecord and never reads it.
     """
 
-    def __init__(self, stage: str, quantity: str, detail: str, value=None):
-        self.stage = stage
-        self.quantity = quantity
+    def __init__(self, detail: str, value=None):
         self.detail = detail
         self.value = value
 
     def __str__(self) -> str:
         suffix = "" if self.value is None else f" (value={self.value!r})"
-        return f"{self.stage}/{self.quantity}: {self.detail}{suffix}"
-
-    def record(self) -> ErrorRecord:
-        return ErrorRecord(self.stage, self.quantity, type(self).__name__,
-                           self.detail,
-                           None if self.value is None else float(self.value))
+        return f"{self.detail}{suffix}"
 
 
 class NonPositivePermanent(ComputationError):

@@ -122,7 +122,6 @@ class StateClassification(NamedTuple):
     market_state: OperatingState | None
     grid_state: OperatingState | None
     threat_level: ThreatLevel | None
-    paper_gap_flag: bool
 
 
 def energy_potential(exponents: LyapunovExponents,
@@ -139,7 +138,7 @@ def energy_potential(exponents: LyapunovExponents,
     """
     l_p1 = exponents.l_p1
     if l_p1 == 0:
-        raise ZeroLp1("grid-analysis", "v1", "l_p1 is zero")
+        raise ZeroLp1("l_p1 is zero")
     plus = (l_p1 + t1) ** 2 + REGULARIZER
     minus = (l_p1 - t1) ** 2 + REGULARIZER
     v1 = (l_p1 + t1) / (l_p1 * plus) + (l_p1 - t1) / (l_p1 * minus)
@@ -160,9 +159,9 @@ def frequency_from_auxiliary(p_x: float, v1: float, t1: float) -> float:
     ln(u_p) undefined in the quenched probability; see quenched_probability.
     """
     if v1 == 0:
-        raise ZeroImpulse("grid-analysis", "u_p", "v1 is zero")
+        raise ZeroImpulse("v1 is zero")
     if t1 == 0:
-        raise ZeroTime("grid-analysis", "u_p", "t1 is zero")
+        raise ZeroTime("t1 is zero")
     return -(0.5 + 1 / (4 * v1)) * (1 + p_x * v1 / t1) * math.exp(v1 * t1)
 
 
@@ -176,12 +175,11 @@ def trade_volume(u_s: float) -> float:
     valid_percentage flag marks whether it landed inside [0, 100].
     """
     if u_s == 0:
-        raise ZeroPotential("grid-analysis", "trade_volume_pct", "u_s is zero")
+        raise ZeroPotential("u_s is zero")
     denominator = 4 * (u_s / (2 * math.pi)) ** 2
     # |u_s| below ~1e-161 squares to subnormal zero
     if denominator == 0:
-        raise ZeroPotential("grid-analysis", "trade_volume_pct",
-                            "u_s squared underflows to zero", u_s)
+        raise ZeroPotential("u_s squared underflows to zero", u_s)
     return 100 - 9 * math.pi ** 2 / denominator
 
 
@@ -189,8 +187,7 @@ def elliptic_distance(u_s: float, u_p: float) -> float:
     """r_e = 1/(128 sqrt(u_s - u_p)); gamma prefactors folded."""
     gap = u_s - u_p
     if gap <= 0:
-        raise NonPositiveGap("grid-analysis", "r_e",
-                             "u_s - u_p is not positive", gap)
+        raise NonPositiveGap("u_s - u_p is not positive", gap)
     return 1 / (128 * math.sqrt(gap))
 
 
@@ -199,15 +196,14 @@ def hyperbolic_distance(model: GridModel) -> float:
     radicand = (model.omega1 ** 2 + model.omega2 ** 2
                 + model.e1 ** 2 - model.e2 ** 2 - model.t1 ** 2)
     if radicand < 0:
-        raise NegativeRadicand("grid-analysis", "r_h",
-                               "hyperbolic radicand is negative", radicand)
+        raise NegativeRadicand("hyperbolic radicand is negative", radicand)
     return math.sqrt(radicand) / (16 * math.pi ** 2.5)
 
 
 def critical_distance(v1: float, l_p1: float) -> float:
     """r_c = exp(-v1 l_p1)/(10 l_p1)."""
     if l_p1 == 0:
-        raise ZeroLp1("grid-analysis", "r_c", "l_p1 is zero")
+        raise ZeroLp1("l_p1 is zero")
     return math.exp(-v1 * l_p1) / (10 * l_p1)
 
 
@@ -269,18 +265,16 @@ def quenched_probability(u_s: float, u_p: float, e1: float,
     """
     if up_log_mode == "strict":
         if u_s <= 0:
-            raise NonPositivePotential("grid-analysis", "p_g",
-                                       "u_s is not positive", u_s)
+            raise NonPositivePotential("u_s is not positive", u_s)
         if u_p <= 0:
-            raise NonPositivePotential("grid-analysis", "p_g",
-                                       "u_p is not positive", u_p)
+            raise NonPositivePotential("u_p is not positive", u_p)
         log_s = math.log(u_s)
         log_p = math.log(u_p)
     elif up_log_mode == "absolute":
         if u_s == 0:
-            raise NonPositivePotential("grid-analysis", "p_g", "u_s is zero")
+            raise NonPositivePotential("u_s is zero")
         if u_p == 0:
-            raise NonPositivePotential("grid-analysis", "p_g", "u_p is zero")
+            raise NonPositivePotential("u_p is zero")
         log_s = math.log(abs(u_s))
         log_p = math.log(abs(u_p))
     else:

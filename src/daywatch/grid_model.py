@@ -60,9 +60,8 @@ def separability(l_p1: float) -> SeparabilityRoot:
     discriminant = a ** 2 - 4 * ((4 - a ** 2) / 2 - 2)
     # algebraically 3*(2 + l_p1)**2 >= 0; guarded anyway, never a NaN
     if discriminant < 0:
-        raise NegativeDiscriminant(
-            "grid-model", "rho", "separability discriminant is negative",
-            discriminant)
+        raise NegativeDiscriminant("separability discriminant is negative",
+                                   discriminant)
     rho = (a + math.sqrt(discriminant)) / 2
     return SeparabilityRoot(rho=rho, discriminant=discriminant)
 
@@ -71,9 +70,8 @@ def second_pair(root: SeparabilityRoot) -> tuple[float, float]:
     """e2 and t2 from rho; rho < 2 would make the square root imaginary."""
     rho = root.rho
     if rho < 2:
-        raise RhoBelowTwo(
-            "grid-model", "e2", "rho below 2 makes sqrt(rho**2 - 4) imaginary",
-            rho)
+        raise RhoBelowTwo("rho below 2 makes sqrt(rho**2 - 4) imaginary",
+                          rho)
     # (rho - 2)*(rho + 2) loses less precision than rho**2 - 4 near rho = 2
     offset = math.sqrt((rho - 2.0) * (rho + 2.0))
     e2 = (rho + offset) / 2
@@ -84,12 +82,12 @@ def second_pair(root: SeparabilityRoot) -> tuple[float, float]:
 def first_frequency(l_p1: float, t1: float) -> float:
     """omega1 = 2 l_p1 / t1."""
     if t1 == 0:
-        raise ZeroTime("grid-model", "omega1", "t1 is zero")
+        raise ZeroTime("t1 is zero")
     return 2 * l_p1 / t1
 
 
 def second_frequency(l_y1: float, t2: float) -> float:
     """omega2 = 2 l_y1 / t2."""
     if t2 == 0:
-        raise ZeroTime("grid-model", "omega2", "t2 is zero")
+        raise ZeroTime("t2 is zero")
     return 2 * l_y1 / t2

@@ -39,9 +39,6 @@ class InputParameters(NamedTuple):
     delta: float
     date: str | None = None
 
-    def values(self) -> dict[str, float]:
-        return dict(zip(FIELD_ORDER, self))
-
 
 class ScaledTimes(NamedTuple):
     """The four dimensionless starred times feeding the evolution matrix."""

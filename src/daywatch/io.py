@@ -63,7 +63,7 @@ _PROBABILITY_KEYS = ("p_s", "p_t", "p_g")
 _CHAIN_KEYS = ("r_small", "r_mid", "r_big")
 _MISS_KEYS = ("p1", "p2", "p3", "p4")
 # Attributes of the report's states, and of each of its error records.
-_STATE_KEYS = StateClassification._fields[:3]
+_STATE_KEYS = StateClassification._fields
 _ERROR_KEYS = ErrorRecord._fields
 
 # Every section of a report and its keys, in serialization order.  Each
@@ -175,7 +175,7 @@ def parse_records(lines: Iterable[str], format: str = "csv"
 
 def _state_values(states: StateClassification) -> tuple[str | None, ...]:
     """The _STATE_KEYS states' string values, None where undefined."""
-    market, grid, threat, _ = states
+    market, grid, threat = states
     return (None if market is None else market.value,
             None if grid is None else grid.value,
             None if threat is None else threat.value)
@@ -195,7 +195,7 @@ def _values(report: WatchReport) -> tuple:
 def report_as_dict(report: WatchReport) -> dict:
     """The report as nested primitives, in serialization order."""
     values = iter(_values(report))
-    errors = [record.as_dict() for record in report.errors]
+    errors = [record._asdict() for record in report.errors]
     return {section: {key: errors if key == "errors" else next(values)
                       for key in keys}
             for section, keys in _LAYOUT}

@@ -76,8 +76,7 @@ def error_exponent(delta: float) -> float:
 def permanent_exponent(perm_a: float) -> float:
     """l_p2 = ln(per(A))**2 / 10 + 1; per(A) must be positive."""
     if perm_a <= 0:
-        raise NonPositivePermanent(
-            "lyapunov", "l_p2", "per(A) is not positive", perm_a)
+        raise NonPositivePermanent("per(A) is not positive", perm_a)
     return math.log(perm_a) ** 2 / 10 + 1.0
 
 
@@ -87,8 +86,7 @@ def price_exponent(c_0: float) -> float:
         return math.exp(c_0 / 25)
     except OverflowError:
         raise ExponentialOverflow(
-            "lyapunov", "l_y1", "exp(c_0 / 25) exceeds the float range", c_0
-        ) from None
+            "exp(c_0 / 25) exceeds the float range", c_0) from None
 
 
 def droop_exponent(k_c: float) -> float:
@@ -97,8 +95,7 @@ def droop_exponent(k_c: float) -> float:
         return math.exp(k_c / 10) + 1.0
     except OverflowError:
         raise ExponentialOverflow(
-            "lyapunov", "l_y2", "exp(k_c / 10) exceeds the float range", k_c
-        ) from None
+            "exp(k_c / 10) exceeds the float range", k_c) from None
 
 
 class LyapunovExponents(NamedTuple):

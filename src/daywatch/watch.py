@@ -52,6 +52,8 @@ from .inputs import InputParameters
 # Droop value at which the fourth chain probability equals the third.
 DROOP_PIVOT = 3.5
 
+_NON_FINITE = NonFiniteResult.__name__
+
 
 class ReportFlags(NamedTuple):
     """The six named report flags.
@@ -106,11 +108,9 @@ def false_alarm(r_small: float, r_mid: float,
     non-positive for distinct distances.
     """
     if r_small == r_big:
-        raise DegenerateChain("watch", "p_false_alarm_raw",
-                              "all three distances are equal")
+        raise DegenerateChain("all three distances are equal")
     if r_mid == 0:
-        raise ZeroMiddle("watch", "p_false_alarm_raw",
-                         "middle distance is zero")
+        raise ZeroMiddle("middle distance is zero")
     raw = ((2.0 / 3.0)
            * (r_small / (r_small - r_big))
            * ((r_mid - r_big) / r_mid) ** 2)
@@ -131,8 +131,7 @@ def half_chain(p_s: float, p_t: float,
 def fourth_probability(p3: float, k_c: float) -> float:
     """p4 = (k_c/3.5)**4 * p3, so p4/p3 is a pure droop factor."""
     if p3 == 0:
-        raise ZeroP3("watch", "p_miss_raw",
-                     "halved minimum of the probability chain is zero")
+        raise ZeroP3("halved minimum of the probability chain is zero")
     return (k_c / DROOP_PIVOT) ** 4 * p3
 
 
@@ -142,8 +141,7 @@ def miss_probability(p1: float, p2: float, p3: float, p4: float,
     share = v_m / 100
     inner = share ** 2 * (1 - share) ** 2 * (p1 - p2) ** 2 + p1 * p2
     if inner < 0:
-        raise NegativeMissRadicand("watch", "p_miss_raw",
-                                   "miss radicand is negative", inner)
+        raise NegativeMissRadicand("miss radicand is negative", inner)
     # p3*p4 and p4/p3 cannot go negative: p4 is p3 times a fourth power
     raw = 1 - 2 * math.sqrt(p4 / p3) * (math.sqrt(inner)
                                         + math.sqrt(p3 * p4))
@@ -155,31 +153,34 @@ def _step(errors: list[ErrorRecord], stage: str, quantity: str,
           function: Callable[..., object], *args):
     """Run one step once all its arguments exist, else yield None.
 
-    On domain failure record the reason and yield None.  Also converts
-    float-machinery escapes (overflow, division by zero, inf/NaN
-    results) into NonFiniteResult records so a report can never carry a
-    non-finite number.  Every step returns a number or a tuple of numbers
-    (SeparabilityRoot is a NamedTuple, the clamp flags are bools), so
-    each returned number is checked.
+    The step is where a failure happened: on one it appends an
+    ErrorRecord at its own (stage, quantity) and yields None.  A domain
+    error gives its kind, detail and value; float-machinery escapes
+    (overflow, division by zero, inf/NaN results) give NonFiniteResult,
+    so a report can never carry a non-finite number.  Every step returns
+    a number or a tuple of numbers (SeparabilityRoot is a NamedTuple,
+    the clamp flags are bools), so each returned number is checked.
+    Only the failure's fields leave an except block: a kept exception
+    would tie its traceback to the caller's frames in a reference cycle.
     """
     if None in args:
         return None
     try:
-        value = function(*args)
+        result = function(*args)
     except ComputationError as exc:
-        errors.append(exc.record())
-        return None
+        kind, detail, value = type(exc).__name__, exc.detail, exc.value
     except (OverflowError, ZeroDivisionError):
-        errors.append(NonFiniteResult(
-            stage, quantity, "evaluation left the float range").record())
-        return None
-    if isinstance(value, tuple):
-        if all(map(math.isfinite, value)):
-            return value
-    elif math.isfinite(value):
-        return value
-    errors.append(NonFiniteResult(
-        stage, quantity, "result is not finite").record())
+        kind, detail, value = (_NON_FINITE,
+                               "evaluation left the float range", None)
+    else:
+        if isinstance(result, tuple):
+            if all(map(math.isfinite, result)):
+                return result
+        elif math.isfinite(result):
+            return result
+        kind, detail, value = _NON_FINITE, "result is not finite", None
+    errors.append(ErrorRecord(stage, quantity, kind, detail,
+                              None if value is None else float(value)))
     return None
 
 
@@ -303,7 +304,6 @@ def run_watch(params: InputParameters,
         market_state=market_state,
         grid_state=grid_state,
         threat_level=threat,
-        paper_gap_flag=paper_gap,
     )
     return WatchReport(
         params=params,

@@ -93,8 +93,8 @@ class TestSecondPair:
     def test_rho_below_two_is_rejected(self):
         with pytest.raises(RhoBelowTwo) as excinfo:
             second_pair(SeparabilityRoot(rho=1.5, discriminant=0.0))
-        assert excinfo.value.stage == "grid-model"
-        assert excinfo.value.quantity == "e2"
+        assert excinfo.value.detail \
+            == "rho below 2 makes sqrt(rho**2 - 4) imaginary"
         assert excinfo.value.value == 1.5
 
 
@@ -107,14 +107,15 @@ class TestFrequencies:
         assert second_frequency(5.0, 2.0) == 5.0
 
     @pytest.mark.parametrize(
-        ("fn", "quantity"),
-        [(first_frequency, "omega1"), (second_frequency, "omega2")],
+        ("fn", "detail"),
+        [(first_frequency, "t1 is zero"), (second_frequency, "t2 is zero")],
+        ids=["first_frequency-omega1", "second_frequency-omega2"],
     )
-    def test_zero_time_is_rejected(self, fn, quantity):
+    def test_zero_time_is_rejected(self, fn, detail):
         with pytest.raises(ZeroTime) as excinfo:
             fn(1.0, 0.0)
-        assert excinfo.value.stage == "grid-model"
-        assert excinfo.value.quantity == quantity
+        assert excinfo.value.detail == detail
+        assert excinfo.value.value is None
 
 
 def test_build_model_baseline(baseline):

@@ -1,6 +1,7 @@
 """The watch layer: chains, alarm probabilities, and the gated pipeline."""
 
 import dataclasses
+import gc
 import itertools
 import math
 
@@ -9,6 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from daywatch import (
+    ComputationError,
     DegenerateChain,
     Distances,
     ErrorRecord,
@@ -31,6 +33,7 @@ from daywatch import (
     grid_model,
     lyapunov,
     run_watch,
+    watch,
 )
 from daywatch.watch import (
     ReportFlags,
@@ -64,6 +67,67 @@ distinct_triples = st.tuples(
     st.floats(min_value=0.01, max_value=100.0),
     st.floats(min_value=0.01, max_value=100.0),
 ).filter(lambda t: len(set(t)) == 3)
+
+
+# Every step run_watch takes through _step: (module, function, stage,
+# quantity, trace keys left None when the step fails on the clean record).
+STEPS = [
+    (lyapunov, "permanent", "lyapunov", "perm_a",
+     {"perm_a", "l_p2", "e1", "t1", "omega1", *POTENTIALS,
+      *DISTANCES, *PROBABILITIES, *CHAIN, *MISS}),
+    (lyapunov, "permanent_exponent", "lyapunov", "l_p2",
+     {"l_p2", "e1", "t1", "omega1", *POTENTIALS, *DISTANCES,
+      *PROBABILITIES, *CHAIN, *MISS}),
+    (lyapunov, "price_exponent", "lyapunov", "l_y1",
+     {"l_y1", "t1", "omega1", "omega2", *POTENTIALS, *DISTANCES,
+      *PROBABILITIES, *CHAIN, *MISS}),
+    (lyapunov, "droop_exponent", "lyapunov", "l_y2",
+     {"l_y2", "t1", "omega1", *POTENTIALS, *DISTANCES,
+      *PROBABILITIES, *CHAIN, *MISS}),
+    (grid_model, "separability", "grid-model", "rho",
+     {"rho", "discriminant", "e2", "t2", "omega2", "p_x", "u_p",
+      "r_e", "r_h", "p_g", *CHAIN, *MISS}),
+    (grid_model, "expected_energy", "grid-model", "e1",
+     {"e1", "p_x", "u_p", "r_e", "r_h", "p_g", *CHAIN, *MISS}),
+    (grid_model, "second_pair", "grid-model", "e2",
+     {"e2", "t2", "omega2", "p_x", "u_p", "r_e", "r_h", "p_g",
+      *CHAIN, *MISS}),
+    (grid_model, "expected_time", "grid-model", "t1",
+     {"t1", "omega1", *POTENTIALS, *DISTANCES, *PROBABILITIES,
+      *CHAIN, *MISS}),
+    (grid_model, "first_frequency", "grid-model", "omega1",
+     {"omega1", "p_x", "u_p", "r_e", "r_h", "p_g", *CHAIN, *MISS}),
+    (grid_model, "second_frequency", "grid-model", "omega2",
+     {"omega2", "p_x", "u_p", "r_e", "r_h", "p_g", *CHAIN, *MISS}),
+    (grid_analysis, "energy_potential", "grid-analysis", "v1",
+     {"v1", "w1", "u_s", "u_p", "r_e", "r_c", *PROBABILITIES,
+      *CHAIN, *MISS}),
+    (grid_analysis, "auxiliary_potential", "grid-analysis", "p_x",
+     {"p_x", "u_p", "r_e", "p_g", *CHAIN, *MISS}),
+    (grid_analysis, "frequency_from_auxiliary", "grid-analysis",
+     "u_p", {"u_p", "r_e", "p_g", *CHAIN, *MISS}),
+    (grid_analysis, "trade_volume", "grid-analysis",
+     "trade_volume_pct", set(MISS)),
+    (grid_analysis, "elliptic_distance", "grid-analysis", "r_e",
+     {"r_e", *CHAIN}),
+    (grid_analysis, "hyperbolic_distance", "grid-analysis", "r_h",
+     {"r_h", *CHAIN}),
+    (grid_analysis, "critical_distance", "grid-analysis", "r_c",
+     {"r_c", *CHAIN}),
+    (grid_analysis, "star_reliability", "grid-analysis", "p_s",
+     {"p_s", *MISS}),
+    (grid_analysis, "triangle_reliability", "grid-analysis", "p_t",
+     {"p_t", *MISS}),
+    (grid_analysis, "quenched_probability", "grid-analysis", "p_g",
+     {"p_g", *MISS}),
+    (watch, "false_alarm", "watch", "p_false_alarm_raw", set()),
+    (watch, "fourth_probability", "watch", "p_miss_raw", {"p4"}),
+    (watch, "miss_probability", "watch", "p_miss_raw", set()),
+]
+
+
+def undefined_keys(report):
+    return {key for key, value in report.trace.items() if value is None}
 
 
 def with_distances(params, r_e, r_h, r_c):
@@ -115,8 +179,8 @@ class TestFalseAlarm:
     def test_degenerate_chain(self):
         with pytest.raises(DegenerateChain) as excinfo:
             false_alarm(2.0, 2.0, 2.0)
-        assert excinfo.value.stage == "watch"
-        assert excinfo.value.quantity == "p_false_alarm_raw"
+        assert excinfo.value.detail == "all three distances are equal"
+        assert excinfo.value.value is None
 
     def test_zero_middle(self):
         with pytest.raises(ZeroMiddle):
@@ -198,7 +262,7 @@ class TestMissProbability:
 class TestRunWatchBaseline:
     def test_error_records(self, baseline):
         report = run_watch(baseline)
-        assert [e.as_dict() for e in report.errors] == [
+        assert [e._asdict() for e in report.errors] == [
             {
                 "stage": "grid-analysis",
                 "quantity": "r_e",
@@ -331,6 +395,28 @@ class TestRunWatchMisc:
             second = emit_report(run_watch(record))
             assert first == second
 
+    def test_failures_leave_no_cyclic_garbage(self, baseline, clean):
+        # a caught exception kept past its except block ties its traceback
+        # to the caller's frames in a cycle, which only the collector frees
+        records = [clean, baseline,
+                   baseline._replace(c_0=1e6, k_c=1e6),  # overflow raised
+                   baseline._replace(delta=1e154),  # inf result
+                   baseline._replace(delta=1e300)]  # OverflowError
+        configs = [RunConfig(up_log_mode=mode)
+                   for mode in ("strict", "absolute")]
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(20):
+                for record, config in itertools.product(records, configs):
+                    report = run_watch(record, config)
+                    assert report.errors or record is clean
+                    emit_report(report, "json")
+                    emit_report(report, "text")
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     @pytest.mark.parametrize("record_type", [
         InputParameters, ScaledTimes, LyapunovExponents, GridModel,
         Distances, ReliabilityProbabilities, StateClassification,
@@ -460,58 +546,7 @@ class TestFaultInjection:
         assert report.p_miss is None
 
     @pytest.mark.parametrize(
-        ("module", "name", "stage", "quantity", "undefined"),
-        [
-            (lyapunov, "permanent", "lyapunov", "perm_a",
-             {"perm_a", "l_p2", "e1", "t1", "omega1", *POTENTIALS,
-              *DISTANCES, *PROBABILITIES, *CHAIN, *MISS}),
-            (lyapunov, "permanent_exponent", "lyapunov", "l_p2",
-             {"l_p2", "e1", "t1", "omega1", *POTENTIALS, *DISTANCES,
-              *PROBABILITIES, *CHAIN, *MISS}),
-            (lyapunov, "price_exponent", "lyapunov", "l_y1",
-             {"l_y1", "t1", "omega1", "omega2", *POTENTIALS, *DISTANCES,
-              *PROBABILITIES, *CHAIN, *MISS}),
-            (lyapunov, "droop_exponent", "lyapunov", "l_y2",
-             {"l_y2", "t1", "omega1", *POTENTIALS, *DISTANCES,
-              *PROBABILITIES, *CHAIN, *MISS}),
-            (grid_model, "separability", "grid-model", "rho",
-             {"rho", "discriminant", "e2", "t2", "omega2", "p_x", "u_p",
-              "r_e", "r_h", "p_g", *CHAIN, *MISS}),
-            (grid_model, "expected_energy", "grid-model", "e1",
-             {"e1", "p_x", "u_p", "r_e", "r_h", "p_g", *CHAIN, *MISS}),
-            (grid_model, "second_pair", "grid-model", "e2",
-             {"e2", "t2", "omega2", "p_x", "u_p", "r_e", "r_h", "p_g",
-              *CHAIN, *MISS}),
-            (grid_model, "expected_time", "grid-model", "t1",
-             {"t1", "omega1", *POTENTIALS, *DISTANCES, *PROBABILITIES,
-              *CHAIN, *MISS}),
-            (grid_model, "first_frequency", "grid-model", "omega1",
-             {"omega1", "p_x", "u_p", "r_e", "r_h", "p_g", *CHAIN, *MISS}),
-            (grid_model, "second_frequency", "grid-model", "omega2",
-             {"omega2", "p_x", "u_p", "r_e", "r_h", "p_g", *CHAIN, *MISS}),
-            (grid_analysis, "energy_potential", "grid-analysis", "v1",
-             {"v1", "w1", "u_s", "u_p", "r_e", "r_c", *PROBABILITIES,
-              *CHAIN, *MISS}),
-            (grid_analysis, "auxiliary_potential", "grid-analysis", "p_x",
-             {"p_x", "u_p", "r_e", "p_g", *CHAIN, *MISS}),
-            (grid_analysis, "frequency_from_auxiliary", "grid-analysis",
-             "u_p", {"u_p", "r_e", "p_g", *CHAIN, *MISS}),
-            (grid_analysis, "trade_volume", "grid-analysis",
-             "trade_volume_pct", set(MISS)),
-            (grid_analysis, "elliptic_distance", "grid-analysis", "r_e",
-             {"r_e", *CHAIN}),
-            (grid_analysis, "hyperbolic_distance", "grid-analysis", "r_h",
-             {"r_h", *CHAIN}),
-            (grid_analysis, "critical_distance", "grid-analysis", "r_c",
-             {"r_c", *CHAIN}),
-            (grid_analysis, "star_reliability", "grid-analysis", "p_s",
-             {"p_s", *MISS}),
-            (grid_analysis, "triangle_reliability", "grid-analysis", "p_t",
-             {"p_t", *MISS}),
-            (grid_analysis, "quenched_probability", "grid-analysis", "p_g",
-             {"p_g", *MISS}),
-        ],
-    )
+        ("module", "name", "stage", "quantity", "undefined"), STEPS)
     def test_non_finite_step_blocks_exactly_its_dependents(
             self, clean, monkeypatch, module, name, stage, quantity,
             undefined):
@@ -525,11 +560,24 @@ class TestFaultInjection:
 
         monkeypatch.setattr(module, name, non_finite)
         report = run_watch(clean)
-        assert [(e.error, e.stage, e.quantity) for e in report.errors] == [
-            ("NonFiniteResult", stage, quantity)
-        ]
-        assert {key for key, value in report.trace.items()
-                if value is None} == undefined
+        assert report.errors == (ErrorRecord(
+            stage, quantity, "NonFiniteResult", "result is not finite"),)
+        assert undefined_keys(report) == undefined
+
+    @pytest.mark.parametrize(
+        ("module", "name", "stage", "quantity", "undefined"), STEPS)
+    def test_raising_step_blocks_exactly_its_dependents(
+            self, clean, monkeypatch, module, name, stage, quantity,
+            undefined):
+        # the error names no place: the step's own stage and quantity do
+        def raising(*args):
+            raise ComputationError("injected", 1.0)
+
+        monkeypatch.setattr(module, name, raising)
+        report = run_watch(clean)
+        assert report.errors == (ErrorRecord(
+            stage, quantity, "ComputationError", "injected", 1.0),)
+        assert undefined_keys(report) == undefined
 
     def test_non_finite_separability_root_is_contained(self, clean,
                                                        monkeypatch):
