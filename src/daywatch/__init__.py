@@ -41,9 +41,7 @@ from .errors import (
 )
 from .grid_analysis import (
     QUENCH_CONSTANT,
-    Distances,
     OperatingState,
-    ReliabilityProbabilities,
     StateClassification,
     ThreatLevel,
     classify_grid,
@@ -58,12 +56,7 @@ from .grid_analysis import (
     trade_volume,
     triangle_reliability,
 )
-from .grid_model import (
-    GridModel,
-    SeparabilityRoot,
-    second_pair,
-    separability,
-)
+from .grid_model import second_pair, separability
 from .inputs import InputParameters, ScaledTimes, scale_times, validate
 from .io import (
     SweepEntry,
@@ -73,7 +66,7 @@ from .io import (
     report_as_dict,
     sweep,
 )
-from .lyapunov import LyapunovExponents, build_matrix, permanent
+from .lyapunov import build_matrix, permanent
 from .watch import (
     ReportFlags,
     WatchReport,
@@ -90,12 +83,9 @@ __all__ = [
     "ComputationError",
     "DaywatchError",
     "DegenerateChain",
-    "Distances",
     "ErrorRecord",
     "ExponentialOverflow",
-    "GridModel",
     "InputParameters",
-    "LyapunovExponents",
     "NegativeDiscriminant",
     "NegativeMissRadicand",
     "NegativeRadicand",
@@ -106,12 +96,10 @@ __all__ = [
     "OperatingState",
     "ParseError",
     "QUENCH_CONSTANT",
-    "ReliabilityProbabilities",
     "ReportFlags",
     "RhoBelowTwo",
     "RunConfig",
     "ScaledTimes",
-    "SeparabilityRoot",
     "StateClassification",
     "SweepEntry",
     "SweepSpec",

@@ -171,7 +171,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "check":
             return _cmd_check()
         try:
-            handle = open(args.input, "r", encoding="utf-8")
+            # utf-8-sig drops the byte-order mark spreadsheets write
+            handle = open(args.input, "r", encoding="utf-8-sig")
         except OSError as exc:
             print(f"daywatch: cannot read {args.input}: {exc}",
                   file=sys.stderr)

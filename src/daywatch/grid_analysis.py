@@ -1,7 +1,8 @@
 """Potentials, distances, reliability probabilities, and state classification.
 
-Everything here is a pure function of the grid model and the Lyapunov
-exponents.  The quantities:
+Everything here is a pure function of scalars of the grid model and
+the Lyapunov exponents, each taking exactly the ones it reads.  The
+quantities:
 
     v1, w1   components of the energy potential; v1 doubles as the
              edge-failure probability fed to the reliability polynomials
@@ -56,8 +57,6 @@ from .errors import (
     ZeroPotential,
     ZeroTime,
 )
-from .grid_model import GridModel
-from .lyapunov import LyapunovExponents
 
 # Named constant of the quenched-disorder exponent denominator.
 QUENCH_CONSTANT = 1.261060863 * math.pi
@@ -106,25 +105,13 @@ class ThreatLevel(str, Enum):
     SEVERE = "severe"
 
 
-class Distances(NamedTuple):
-    r_e: float | None
-    r_h: float | None
-    r_c: float | None
-
-
-class ReliabilityProbabilities(NamedTuple):
-    p_s: float | None
-    p_t: float | None
-    p_g: float | None
-
-
 class StateClassification(NamedTuple):
     market_state: OperatingState | None
     grid_state: OperatingState | None
     threat_level: ThreatLevel | None
 
 
-def energy_potential(exponents: LyapunovExponents,
+def energy_potential(l_p1: float, l_y1: float,
                      t1: float) -> tuple[float, float, float]:
     """(v1, w1, u_s) from the first exponent pair and the coupling time.
 
@@ -136,14 +123,13 @@ def energy_potential(exponents: LyapunovExponents,
     Both denominators are at least 1/16, so only l_p1 = 0 is singular
     and w1 is finite for every finite input.
     """
-    l_p1 = exponents.l_p1
     if l_p1 == 0:
         raise ZeroLp1("l_p1 is zero")
     plus = (l_p1 + t1) ** 2 + REGULARIZER
     minus = (l_p1 - t1) ** 2 + REGULARIZER
     v1 = (l_p1 + t1) / (l_p1 * plus) + (l_p1 - t1) / (l_p1 * minus)
     w1 = (3 / l_p1) * math.log(plus / minus)
-    u_s = exponents.l_y1 ** 2 * v1 + w1
+    u_s = l_y1 ** 2 * v1 + w1
     return v1, w1, u_s
 
 
@@ -191,10 +177,10 @@ def elliptic_distance(u_s: float, u_p: float) -> float:
     return 1 / (128 * math.sqrt(gap))
 
 
-def hyperbolic_distance(model: GridModel) -> float:
+def hyperbolic_distance(e1: float, e2: float, omega1: float, omega2: float,
+                        t1: float) -> float:
     """r_h = sqrt(omega1**2 + omega2**2 + e1**2 - e2**2 - t1**2)/(16 pi**2.5)."""
-    radicand = (model.omega1 ** 2 + model.omega2 ** 2
-                + model.e1 ** 2 - model.e2 ** 2 - model.t1 ** 2)
+    radicand = omega1 ** 2 + omega2 ** 2 + e1 ** 2 - e2 ** 2 - t1 ** 2
     if radicand < 0:
         raise NegativeRadicand("hyperbolic radicand is negative", radicand)
     return math.sqrt(radicand) / (16 * math.pi ** 2.5)
@@ -207,15 +193,15 @@ def critical_distance(v1: float, l_p1: float) -> float:
     return math.exp(-v1 * l_p1) / (10 * l_p1)
 
 
-def classify_market(distances: Distances) -> OperatingState:
+def classify_market(r_e: float, r_h: float, r_c: float) -> OperatingState:
     """Market state from the two kernel distances against the critical one.
 
     Strict inequalities: a distance exactly at r_c does not exceed it.
     Precedence emergency > restorative > normal resolves the overlap of
     the two alarm conditions.
     """
-    elliptic_exceeds = distances.r_e > distances.r_c
-    hyperbolic_exceeds = distances.r_h > distances.r_c
+    elliptic_exceeds = r_e > r_c
+    hyperbolic_exceeds = r_h > r_c
     if elliptic_exceeds and hyperbolic_exceeds:
         return OperatingState.EMERGENCY
     if elliptic_exceeds or hyperbolic_exceeds:
@@ -288,7 +274,7 @@ def _close(x: float, reference: float, tolerance: float) -> bool:
     return abs(x - reference) <= tolerance * max(1.0, abs(reference))
 
 
-def classify_grid(probabilities: ReliabilityProbabilities,
+def classify_grid(p_s: float, p_t: float, p_g: float,
                   tolerance: float = DEFAULT_TOLERANCE) -> OperatingState:
     """Grid state from the reliability probabilities.
 
@@ -299,8 +285,8 @@ def classify_grid(probabilities: ReliabilityProbabilities,
     """
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
-    star_matches = _close(probabilities.p_s, probabilities.p_g, tolerance)
-    triangle_matches = _close(probabilities.p_t, probabilities.p_g, tolerance)
+    star_matches = _close(p_s, p_g, tolerance)
+    triangle_matches = _close(p_t, p_g, tolerance)
     if star_matches and triangle_matches:
         return OperatingState.EMERGENCY
     if star_matches or triangle_matches:

@@ -24,24 +24,8 @@ omega2 = 2*l_y1/t2.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 from .errors import NegativeDiscriminant, RhoBelowTwo, ZeroTime
-
-
-class SeparabilityRoot(NamedTuple):
-    # a tuple, so that the pipeline's finiteness check sees both fields
-    rho: float
-    discriminant: float
-
-
-class GridModel(NamedTuple):
-    e1: float
-    e2: float
-    omega1: float
-    omega2: float
-    t1: float
-    t2: float
 
 
 def expected_energy(l_p1: float, l_p2: float) -> float:
@@ -54,8 +38,8 @@ def expected_time(l_p1: float, l_p2: float, l_y1: float, l_y2: float) -> float:
     return 0.25 * (1.0 + ((l_y1 + l_p1) / 2) * ((l_y2 + l_p2) / 2))
 
 
-def separability(l_p1: float) -> SeparabilityRoot:
-    """Larger root of the separability quadratic in rho."""
+def separability(l_p1: float) -> tuple[float, float]:
+    """(rho, discriminant): the quadratic's larger root and discriminant."""
     a = 2.0 + l_p1
     discriminant = a ** 2 - 4 * ((4 - a ** 2) / 2 - 2)
     # algebraically 3*(2 + l_p1)**2 >= 0; guarded anyway, never a NaN
@@ -63,12 +47,11 @@ def separability(l_p1: float) -> SeparabilityRoot:
         raise NegativeDiscriminant("separability discriminant is negative",
                                    discriminant)
     rho = (a + math.sqrt(discriminant)) / 2
-    return SeparabilityRoot(rho=rho, discriminant=discriminant)
+    return rho, discriminant
 
 
-def second_pair(root: SeparabilityRoot) -> tuple[float, float]:
+def second_pair(rho: float) -> tuple[float, float]:
     """e2 and t2 from rho; rho < 2 would make the square root imaginary."""
-    rho = root.rho
     if rho < 2:
         raise RhoBelowTwo("rho below 2 makes sqrt(rho**2 - 4) imaginary",
                           rho)

@@ -102,7 +102,7 @@ def _parse_csv(lines: Iterable[str]) -> Iterator[tuple[int, InputParameters]]:
                             f"{','.join(CSV_HEADER)!r}, got "
                             f"{','.join(header)!r}")
     for row_number, row in enumerate(rows, start=1):
-        if not row:  # blank line
+        if not row or len(row) == 1 and row[0].isspace():  # blank line
             continue
         if len(row) != len(CSV_HEADER):
             raise ParseError(row_number,

@@ -34,7 +34,6 @@ cancels.  The self-check compares it with the exact 24-term expansion.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 from .errors import ExponentialOverflow, NonPositivePermanent
 from .inputs import ScaledTimes
@@ -96,13 +95,3 @@ def droop_exponent(k_c: float) -> float:
     except OverflowError:
         raise ExponentialOverflow(
             "exp(k_c / 10) exceeds the float range", k_c) from None
-
-
-class LyapunovExponents(NamedTuple):
-    """Both exponent pairs plus per(A), retained for diagnostics."""
-
-    l_p1: float
-    l_p2: float
-    l_y1: float
-    l_y2: float
-    perm_a: float

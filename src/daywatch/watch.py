@@ -42,11 +42,7 @@ from .errors import (
     ZeroMiddle,
     ZeroP3,
 )
-from .grid_analysis import (
-    Distances,
-    ReliabilityProbabilities,
-    StateClassification,
-)
+from .grid_analysis import StateClassification
 from .inputs import InputParameters
 
 # Droop value at which the fourth chain probability equals the third.
@@ -158,8 +154,8 @@ def _step(errors: list[ErrorRecord], stage: str, quantity: str,
     error gives its kind, detail and value; float-machinery escapes
     (overflow, division by zero, inf/NaN results) give NonFiniteResult,
     so a report can never carry a non-finite number.  Every step returns
-    a number or a tuple of numbers (SeparabilityRoot is a NamedTuple,
-    the clamp flags are bools), so each returned number is checked.
+    a number or a tuple of numbers (the clamp flags are bools), so each
+    returned number is checked.
     Only the failure's fields leave an except block: a kept exception
     would tie its traceback to the caller's frames in a reference cycle.
     """
@@ -211,24 +207,22 @@ def run_watch(params: InputParameters,
                  params.c_0)
     l_y2 = _step(errors, "lyapunov", "l_y2", lyapunov.droop_exponent,
                  params.k_c)
-    exponents = _defined(lyapunov.LyapunovExponents, l_p1, l_p2, l_y1, l_y2,
-                         perm_a)
 
-    root = _step(errors, "grid-model", "rho", grid_model.separability, l_p1)
+    rho, discriminant = _step(errors, "grid-model", "rho",
+                              grid_model.separability, l_p1) or (None, None)
     e1 = _step(errors, "grid-model", "e1", grid_model.expected_energy,
                l_p1, l_p2)
     e2, t2 = _step(errors, "grid-model", "e2", grid_model.second_pair,
-                   root) or (None, None)
+                   rho) or (None, None)
     t1 = _step(errors, "grid-model", "t1", grid_model.expected_time,
                l_p1, l_p2, l_y1, l_y2)
     omega1 = _step(errors, "grid-model", "omega1",
                    grid_model.first_frequency, l_p1, t1)
     omega2 = _step(errors, "grid-model", "omega2",
                    grid_model.second_frequency, l_y1, t2)
-    model = _defined(grid_model.GridModel, e1, e2, omega1, omega2, t1, t2)
 
     v1, w1, u_s = _step(errors, "grid-analysis", "v1",
-                        grid_analysis.energy_potential, exponents,
+                        grid_analysis.energy_potential, l_p1, l_y1,
                         t1) or (None, None, None)
     p_x = _step(errors, "grid-analysis", "p_x",
                 grid_analysis.auxiliary_potential, e1, omega1, omega2)
@@ -240,11 +234,10 @@ def run_watch(params: InputParameters,
     r_e = _step(errors, "grid-analysis", "r_e",
                 grid_analysis.elliptic_distance, u_s, u_p)
     r_h = _step(errors, "grid-analysis", "r_h",
-                grid_analysis.hyperbolic_distance, model)
+                grid_analysis.hyperbolic_distance, e1, e2, omega1, omega2, t1)
     r_c = _step(errors, "grid-analysis", "r_c",
                 grid_analysis.critical_distance, v1, l_p1)
-    distances = _defined(Distances, r_e, r_h, r_c)
-    market_state = _defined(grid_analysis.classify_market, distances)
+    market_state = _defined(grid_analysis.classify_market, r_e, r_h, r_c)
 
     p_s = _step(errors, "grid-analysis", "p_s",
                 grid_analysis.star_reliability, v1)
@@ -253,13 +246,12 @@ def run_watch(params: InputParameters,
     p_g = _step(errors, "grid-analysis", "p_g",
                 grid_analysis.quenched_probability, u_s, u_p, e1,
                 config.up_log_mode)
-    grid_state = _defined(grid_analysis.classify_grid,
-                          _defined(ReliabilityProbabilities, p_s, p_t, p_g),
+    grid_state = _defined(grid_analysis.classify_grid, p_s, p_t, p_g,
                           config.equality_tolerance)
     threat, paper_gap = _defined(grid_analysis.threat_level, market_state,
                                  grid_state) or (None, False)
 
-    r_small, r_mid, r_big = (None, None, None) if distances is None \
+    r_small, r_mid, r_big = (None, None, None) if market_state is None \
         else sorted((r_e, r_h, r_c))
     p_f_raw, p_f, pf_out_of_range = _step(
         errors, "watch", "p_false_alarm_raw", false_alarm,
@@ -282,8 +274,7 @@ def run_watch(params: InputParameters,
         "t16_s": scaled.t16_s, "t24_s": scaled.t24_s,
         "perm_a": perm_a,
         "l_p1": l_p1, "l_p2": l_p2, "l_y1": l_y1, "l_y2": l_y2,
-        "rho": None if root is None else root.rho,
-        "discriminant": None if root is None else root.discriminant,
+        "rho": rho, "discriminant": discriminant,
         "e1": e1, "e2": e2, "omega1": omega1, "omega2": omega2,
         "t1": t1, "t2": t2,
         "v1": v1, "w1": w1, "u_s": u_s, "p_x": p_x, "u_p": u_p,

@@ -15,9 +15,7 @@ import exact
 import pytest
 
 from daywatch import (
-    Distances,
     OperatingState,
-    ReliabilityProbabilities,
     ThreatLevel,
     emit_report,
     grid_analysis,
@@ -70,10 +68,10 @@ def test_criterion_2_separability_identity():
     golden_ratio_like = (1.0 + math.sqrt(3.0)) / 2.0
     for i in range(100):
         l_p1 = 1.0 + 2.0 * i / 99
-        root = grid_model.separability(l_p1)
+        rho, discriminant = grid_model.separability(l_p1)
         a = 2.0 + l_p1
-        assert relative_gap(root.discriminant, 3.0 * a * a) <= 1e-9
-        assert relative_gap(root.rho, a * golden_ratio_like) <= 1e-9
+        assert relative_gap(discriminant, 3.0 * a * a) <= 1e-9
+        assert relative_gap(rho, a * golden_ratio_like) <= 1e-9
     print("criterion 2 separability identity: 100 points within 1e-9 -> PASS")
 
 
@@ -81,7 +79,7 @@ def test_criterion_3_root_product_identity():
     """e2 * t2 stays at 10 across the same grid of l_p1 values."""
     for i in range(100):
         l_p1 = 1.0 + 2.0 * i / 99
-        e2, t2 = grid_model.second_pair(grid_model.separability(l_p1))
+        e2, t2 = grid_model.second_pair(grid_model.separability(l_p1)[0])
         assert abs(e2 * t2 / 10.0 - 1.0) <= 1e-9
     print("criterion 3 root product: |e2*t2/10 - 1| <= 1e-9 -> PASS")
 
@@ -131,12 +129,12 @@ def test_criterion_5_state_tables():
     r_c = 2.0
     offsets = {-1: 1.0, 0: 2.0, 1: 3.0}
     for e_side, h_side in itertools.product((-1, 0, 1), repeat=2):
-        distances = Distances(offsets[e_side], offsets[h_side], r_c)
+        distances = (offsets[e_side], offsets[h_side], r_c)
         exceeds = (e_side > 0, h_side > 0)
         expected = (OperatingState.EMERGENCY if all(exceeds)
                     else OperatingState.RESTORATIVE if any(exceeds)
                     else OperatingState.NORMAL)
-        assert classify_market(distances) is expected, distances
+        assert classify_market(*distances) is expected, distances
 
     # grid: closeness patterns of (p_s, p_t) against p_g
     p_g = 0.5
@@ -148,10 +146,10 @@ def test_criterion_5_state_tables():
         (False, False): OperatingState.NORMAL,
     }
     for (s_close, t_close), expected in patterns.items():
-        probabilities = ReliabilityProbabilities(
+        probabilities = (
             near if s_close else far, near if t_close else far, p_g
         )
-        assert classify_grid(probabilities) is expected, probabilities
+        assert classify_grid(*probabilities) is expected, probabilities
 
     # threat: all nine pairs, including the two flagged ones
     table = {
@@ -226,7 +224,7 @@ def test_criterion_8_error_path_integrity(clean, monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(grid_analysis, "energy_potential",
-                      lambda exponents, t1: (0.0, 1.0, 2.0))
+                      lambda l_p1, l_y1, t1: (0.0, 1.0, 2.0))
         check(run_watch(clean), "ZeroImpulse")
 
     check(run_watch(BASELINE), "NonPositiveGap")
@@ -234,14 +232,15 @@ def test_criterion_8_error_path_integrity(clean, monkeypatch):
     with monkeypatch.context() as patch:
         real = grid_analysis.hyperbolic_distance
         patch.setattr(grid_analysis, "hyperbolic_distance",
-                      lambda model: real(
-                          model._replace(e2=100.0)))
+                      lambda e1, e2, omega1, omega2, t1: real(
+                          e1, 100.0, omega1, omega2, t1))
         check(run_watch(clean), "NegativeRadicand")
 
     with monkeypatch.context() as patch:
         patch.setattr(grid_analysis, "elliptic_distance",
                       lambda u_s, u_p: 1.0)
-        patch.setattr(grid_analysis, "hyperbolic_distance", lambda model: 1.0)
+        patch.setattr(grid_analysis, "hyperbolic_distance",
+                      lambda e1, e2, omega1, omega2, t1: 1.0)
         patch.setattr(grid_analysis, "critical_distance",
                       lambda v1, l_p1: 1.0)
         check(run_watch(clean), "DegenerateChain")

@@ -8,15 +8,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from daywatch import (
-    Distances,
-    GridModel,
-    LyapunovExponents,
     NegativeRadicand,
     NonPositiveGap,
     NonPositivePotential,
     OperatingState,
     QUENCH_CONSTANT,
-    ReliabilityProbabilities,
     ThreatLevel,
     ZeroImpulse,
     ZeroLp1,
@@ -43,11 +39,6 @@ from daywatch.grid_analysis import (
 )
 
 
-def exponents(l_p1=1.0, l_y1=1.0):
-    return LyapunovExponents(l_p1=l_p1, l_p2=1.0, l_y1=l_y1, l_y2=1.0,
-                             perm_a=1.0)
-
-
 def naive_polynomial(coefficients, x):
     degree = len(coefficients) - 1
     return sum(c * x ** (degree - k) for k, c in enumerate(coefficients))
@@ -62,7 +53,7 @@ def polynomial_scale(coefficients, x):
 
 class TestEnergyPotential:
     def test_unit_arguments(self):
-        v1, w1, u_s = energy_potential(exponents(l_p1=1.0, l_y1=1.0), t1=1.0)
+        v1, w1, u_s = energy_potential(l_p1=1.0, l_y1=1.0, t1=1.0)
         assert v1 == pytest.approx(32 / 65, rel=1e-15)
         assert w1 == pytest.approx(3 * math.log(65.0), rel=1e-15)
         assert u_s == pytest.approx(v1 + w1, rel=1e-15)
@@ -70,17 +61,17 @@ class TestEnergyPotential:
     def test_symmetric_point_kills_the_log_term(self):
         # t1 = 0 makes both regularised denominators equal
         l_p1 = 2.0
-        v1, w1, _ = energy_potential(exponents(l_p1=l_p1), t1=0.0)
+        v1, w1, _ = energy_potential(l_p1=l_p1, l_y1=1.0, t1=0.0)
         assert w1 == 0.0
         assert v1 == pytest.approx(2.0 / (l_p1 ** 2 + REGULARIZER), rel=1e-15)
 
     def test_price_exponent_scales_quadratically(self):
-        v1, w1, u_s = energy_potential(exponents(l_p1=1.0, l_y1=3.0), t1=1.0)
+        v1, w1, u_s = energy_potential(l_p1=1.0, l_y1=3.0, t1=1.0)
         assert u_s == pytest.approx(9.0 * v1 + w1, rel=1e-15)
 
     def test_zero_l_p1_is_rejected(self):
         with pytest.raises(ZeroLp1) as excinfo:
-            energy_potential(exponents(l_p1=0.0), t1=1.0)
+            energy_potential(l_p1=0.0, l_y1=1.0, t1=1.0)
         assert excinfo.value.detail == "l_p1 is zero"
         assert excinfo.value.value is None
         assert str(excinfo.value) == "l_p1 is zero"
@@ -155,18 +146,17 @@ class TestDistances:
         )
 
     def test_hyperbolic_frozen_points(self):
-        unit = GridModel(e1=0.0, e2=0.0, omega1=16 * math.pi ** 2.5,
-                         omega2=0.0, t1=0.0, t2=1.0)
-        assert hyperbolic_distance(unit) == pytest.approx(1.0, rel=1e-12)
-        flat = GridModel(e1=0.0, e2=0.0, omega1=0.0, omega2=0.0,
-                         t1=0.0, t2=1.0)
-        assert hyperbolic_distance(flat) == 0.0
+        unit = hyperbolic_distance(e1=0.0, e2=0.0, omega1=16 * math.pi ** 2.5,
+                                   omega2=0.0, t1=0.0)
+        assert unit == pytest.approx(1.0, rel=1e-12)
+        flat = hyperbolic_distance(e1=0.0, e2=0.0, omega1=0.0, omega2=0.0,
+                                   t1=0.0)
+        assert flat == 0.0
 
     def test_hyperbolic_negative_radicand(self):
-        model = GridModel(e1=0.0, e2=2.0, omega1=0.0, omega2=0.0,
-                          t1=0.0, t2=1.0)
         with pytest.raises(NegativeRadicand) as excinfo:
-            hyperbolic_distance(model)
+            hyperbolic_distance(e1=0.0, e2=2.0, omega1=0.0, omega2=0.0,
+                                t1=0.0)
         assert excinfo.value.value == -4.0
 
     def test_critical_frozen_points(self):
@@ -197,11 +187,11 @@ class TestMarketClassifier:
         ],
     )
     def test_quadrants(self, r_e, r_h, expected):
-        assert classify_market(Distances(r_e, r_h, 2.0)) is expected
+        assert classify_market(r_e, r_h, 2.0) is expected
 
     def test_equality_does_not_exceed(self):
-        assert classify_market(Distances(2.0, 2.0, 2.0)) is OperatingState.NORMAL
-        assert classify_market(Distances(2.0, 3.0, 2.0)) is (
+        assert classify_market(2.0, 2.0, 2.0) is OperatingState.NORMAL
+        assert classify_market(2.0, 3.0, 2.0) is (
             OperatingState.RESTORATIVE
         )
 
@@ -217,10 +207,8 @@ class TestMarketClassifier:
         # a half-ulp of multiplication rounding could legitimately flip it
         assume(abs(r_e - r_c) > 1e-6 * r_c)
         assume(abs(r_h - r_c) > 1e-6 * r_c)
-        original = classify_market(Distances(r_e, r_h, r_c))
-        rescaled = classify_market(
-            Distances(r_e * scale, r_h * scale, r_c * scale)
-        )
+        original = classify_market(r_e, r_h, r_c)
+        rescaled = classify_market(r_e * scale, r_h * scale, r_c * scale)
         assert rescaled is original
 
 
@@ -334,35 +322,30 @@ class TestQuenchedProbability:
 class TestGridClassifier:
     def test_proximity_is_the_alarm(self):
         p_g = 0.5
+        assert classify_grid(0.9, 0.1, p_g) is OperatingState.NORMAL
         assert classify_grid(
-            ReliabilityProbabilities(0.9, 0.1, p_g)
-        ) is OperatingState.NORMAL
-        assert classify_grid(
-            ReliabilityProbabilities(p_g + 1e-9, 0.9, p_g)
+            p_g + 1e-9, 0.9, p_g
         ) is OperatingState.RESTORATIVE
         assert classify_grid(
-            ReliabilityProbabilities(p_g + 1e-9, p_g - 1e-9, p_g)
+            p_g + 1e-9, p_g - 1e-9, p_g
         ) is OperatingState.EMERGENCY
 
     def test_tolerance_is_relative_for_large_references(self):
         # |p_s - p_g| = 1 is within 1e-6 * 2e6 = 2 of the reference
-        probabilities = ReliabilityProbabilities(2e6 + 1.0, 0.0, 2e6)
-        assert classify_grid(probabilities) is OperatingState.RESTORATIVE
+        probabilities = (2e6 + 1.0, 0.0, 2e6)
+        assert classify_grid(*probabilities) is OperatingState.RESTORATIVE
         assert classify_grid(
-            probabilities, tolerance=1e-8
+            *probabilities, tolerance=1e-8
         ) is OperatingState.NORMAL
 
     def test_tolerance_floor_is_absolute_near_zero(self):
         # max(1, |p_g|) keeps tiny references from demanding exact equality
-        assert classify_grid(
-            ReliabilityProbabilities(1e-7, 0.9, 0.0)
-        ) is OperatingState.RESTORATIVE
+        assert classify_grid(1e-7, 0.9, 0.0) is OperatingState.RESTORATIVE
 
     @pytest.mark.parametrize("bad", [0.0, -1.0])
     def test_non_positive_tolerance_is_rejected(self, bad):
         with pytest.raises(ValueError):
-            classify_grid(ReliabilityProbabilities(1.0, 1.0, 1.0),
-                          tolerance=bad)
+            classify_grid(1.0, 1.0, 1.0, tolerance=bad)
 
 
 class TestThreatTable:

@@ -7,13 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from daywatch import (
-    LyapunovExponents,
     RhoBelowTwo,
     ZeroTime,
     run_watch,
 )
 from daywatch.grid_model import (
-    SeparabilityRoot,
     expected_energy,
     expected_time,
     first_frequency,
@@ -21,12 +19,6 @@ from daywatch.grid_model import (
     second_pair,
     separability,
 )
-
-
-def exponents(l_p1=1.0, l_p2=1.0, l_y1=1.0, l_y2=1.0):
-    return LyapunovExponents(
-        l_p1=l_p1, l_p2=l_p2, l_y1=l_y1, l_y2=l_y2, perm_a=1.0
-    )
 
 
 class TestFirstPair:
@@ -38,40 +30,39 @@ class TestFirstPair:
         assert value == pytest.approx(2.2990593487583673, rel=1e-12)
 
     def test_first_pair_bundles_both(self):
-        lyap = exponents(l_p1=1.035, l_p2=1.4, l_y1=math.exp(2.0),
-                         l_y2=1.0 + math.exp(0.4))
-        e1 = expected_energy(lyap.l_p1, lyap.l_p2)
-        t1 = expected_time(lyap.l_p1, lyap.l_p2, lyap.l_y1, lyap.l_y2)
+        l_p1, l_p2, l_y1, l_y2 = 1.035, 1.4, math.exp(2.0), 1.0 + math.exp(0.4)
+        e1 = expected_energy(l_p1, l_p2)
+        t1 = expected_time(l_p1, l_p2, l_y1, l_y2)
         assert e1 == pytest.approx(1.449, rel=1e-12)
         assert t1 == pytest.approx(2.2990593487583673, rel=1e-12)
 
 
 class TestSeparability:
     def test_frozen_roots(self):
-        root = separability(1.0)
-        assert root.discriminant == pytest.approx(27.0, rel=1e-12)
-        assert root.rho == pytest.approx((3.0 + math.sqrt(27.0)) / 2, rel=1e-12)
+        rho, discriminant = separability(1.0)
+        assert discriminant == pytest.approx(27.0, rel=1e-12)
+        assert rho == pytest.approx((3.0 + math.sqrt(27.0)) / 2, rel=1e-12)
 
-        degenerate = separability(0.0)
-        assert degenerate.discriminant == pytest.approx(12.0, rel=1e-12)
-        assert degenerate.rho == pytest.approx(1.0 + math.sqrt(3.0), rel=1e-12)
+        rho, discriminant = separability(0.0)
+        assert discriminant == pytest.approx(12.0, rel=1e-12)
+        assert rho == pytest.approx(1.0 + math.sqrt(3.0), rel=1e-12)
 
     @settings(max_examples=200, deadline=None)
     @given(st.floats(min_value=0.0, max_value=50.0, allow_nan=False))
     def test_closed_forms(self, l_p1):
         # the quadratic collapses: disc = 3 (2 + l_p1)^2, so
         # rho = (2 + l_p1)(1 + sqrt(3)) / 2
-        root = separability(l_p1)
+        rho, discriminant = separability(l_p1)
         a = 2.0 + l_p1
-        assert root.discriminant == pytest.approx(3.0 * a * a, rel=1e-12)
-        assert root.rho == pytest.approx(
+        assert discriminant == pytest.approx(3.0 * a * a, rel=1e-12)
+        assert rho == pytest.approx(
             a * (1.0 + math.sqrt(3.0)) / 2.0, rel=1e-12
         )
 
 
 class TestSecondPair:
     def test_frozen_values(self):
-        e2, t2 = second_pair(separability(1.0))
+        e2, t2 = second_pair(separability(1.0)[0])
         assert e2 == pytest.approx(3.8374891557518304, rel=1e-12)
         assert t2 == pytest.approx(2.6058705560148553, rel=1e-12)
 
@@ -82,17 +73,17 @@ class TestSecondPair:
         # of the product scales like rho**2 * 2**-53 (~1e-12 at l_p1=100),
         # so the identity holds at the contract tolerance, not at the ulp
         # level
-        e2, t2 = second_pair(separability(l_p1))
+        e2, t2 = second_pair(separability(l_p1)[0])
         assert e2 * t2 == pytest.approx(10.0, rel=1e-9)
 
     def test_rho_exactly_two_is_allowed(self):
-        e2, t2 = second_pair(SeparabilityRoot(rho=2.0, discriminant=0.0))
+        e2, t2 = second_pair(2.0)
         assert e2 == 1.0
         assert t2 == 10.0
 
     def test_rho_below_two_is_rejected(self):
         with pytest.raises(RhoBelowTwo) as excinfo:
-            second_pair(SeparabilityRoot(rho=1.5, discriminant=0.0))
+            second_pair(1.5)
         assert excinfo.value.detail \
             == "rho below 2 makes sqrt(rho**2 - 4) imaginary"
         assert excinfo.value.value == 1.5

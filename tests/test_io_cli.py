@@ -26,6 +26,7 @@ from daywatch import (
     RunConfig,
     SweepSpec,
     emit_report,
+    grid_analysis,
     parse_records,
     run_watch,
     sweep,
@@ -159,6 +160,7 @@ class TestParseCsv:
 
     def test_header_only_is_an_empty_batch(self):
         assert parsed(",".join(CSV_HEADER) + "\n") == []
+        assert parsed(",".join(CSV_HEADER) + "\n   \n") == []
 
     def test_wrong_header(self):
         with pytest.raises(ParseError) as excinfo:
@@ -610,6 +612,21 @@ class TestCli:
         assert captured.err.startswith("daywatch: unparseable input: ")
         assert captured.out == ""
 
+    @pytest.mark.parametrize("format, text", [
+        ("csv", "date,t6_1,t6_2,t16,t24,k_c,c_0,delta\n"
+                "2026-01-01,6,6,16,24,4,50,0.035\n"),
+        ("json", '[{"date": "2026-01-01", "t6_1": 6, "t6_2": 6, "t16": 16, '
+                 '"t24": 24, "k_c": 4, "c_0": 50, "delta": 0.035}]'),
+    ], ids=["csv", "json"])
+    def test_byte_order_mark_is_skipped(self, tmp_path, capsys, format, text):
+        # spreadsheets save "CSV UTF-8" with a leading byte-order mark
+        path = self.write(tmp_path, f"bom.{format}", "\ufeff" + text)
+        code = main(["run", "--input", path, "--format", format])
+        captured = capsys.readouterr()
+        assert code == 2  # the baseline record is degraded, not unreadable
+        assert captured.err == ""
+        assert json.loads(captured.out)["input"]["date"] == "2026-01-01"
+
     @pytest.mark.parametrize("command, text, options, code, fragment", [
         ("run", None, ["--tolerance", "-1"], 3, "cannot read"),
         ("run", "not,a,header\n", ["--tolerance", "-1"], 2, "tolerance"),
@@ -873,6 +890,13 @@ class TestCli:
         for name in ("permanent-oracle", "polynomial-endpoints",
                      "golden-baseline"):
             assert name in out
+
+    def test_failed_check_exits_one(self, capsys, monkeypatch):
+        monkeypatch.setattr(grid_analysis, "star_reliability", lambda v1: 0.5)
+        code = main(["check"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "FAIL  polynomial-endpoints" in out
 
     def test_module_entry_point(self):
         completed = run_child("-m", "daywatch", "check")

@@ -12,17 +12,12 @@ from hypothesis import strategies as st
 from daywatch import (
     ComputationError,
     DegenerateChain,
-    Distances,
     ErrorRecord,
-    GridModel,
     InputParameters,
-    LyapunovExponents,
     NegativeMissRadicand,
     OperatingState,
-    ReliabilityProbabilities,
     RunConfig,
     ScaledTimes,
-    SeparabilityRoot,
     StateClassification,
     ThreatLevel,
     ValidationError,
@@ -134,7 +129,8 @@ def with_distances(params, r_e, r_h, r_c):
     """run_watch(params) with the three distances fixed."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(grid_analysis, "elliptic_distance", lambda u_s, u_p: r_e)
-        patch.setattr(grid_analysis, "hyperbolic_distance", lambda model: r_h)
+        patch.setattr(grid_analysis, "hyperbolic_distance",
+                      lambda e1, e2, omega1, omega2, t1: r_h)
         patch.setattr(grid_analysis, "critical_distance",
                       lambda v1, l_p1: r_c)
         return run_watch(params)
@@ -418,9 +414,8 @@ class TestRunWatchMisc:
             gc.enable()
 
     @pytest.mark.parametrize("record_type", [
-        InputParameters, ScaledTimes, LyapunovExponents, GridModel,
-        Distances, ReliabilityProbabilities, StateClassification,
-        ReportFlags, ErrorRecord,
+        InputParameters, ScaledTimes, StateClassification, ReportFlags,
+        ErrorRecord,
     ], ids=lambda record_type: record_type.__name__)
     def test_records_are_immutable(self, record_type):
         record = record_type(*[1.0] * len(record_type._fields))
@@ -467,7 +462,7 @@ class TestFaultInjection:
     def test_zero_impulse(self, clean, monkeypatch):
         monkeypatch.setattr(
             grid_analysis, "energy_potential",
-            lambda exponents, t1: (0.0, 1.0, 2.0),
+            lambda l_p1, l_y1, t1: (0.0, 1.0, 2.0),
         )
         report = run_watch(clean)
         assert [e.error for e in report.errors] == ["ZeroImpulse"]
@@ -485,7 +480,8 @@ class TestFaultInjection:
         real = grid_analysis.hyperbolic_distance
         monkeypatch.setattr(
             grid_analysis, "hyperbolic_distance",
-            lambda model: real(model._replace(e2=100.0)),
+            lambda e1, e2, omega1, omega2, t1: real(e1, 100.0, omega1,
+                                                    omega2, t1),
         )
         report = run_watch(clean)
         assert [e.error for e in report.errors] == ["NegativeRadicand"]
@@ -502,7 +498,8 @@ class TestFaultInjection:
             grid_analysis, "elliptic_distance", lambda u_s, u_p: 1.0
         )
         monkeypatch.setattr(
-            grid_analysis, "hyperbolic_distance", lambda model: 1.0
+            grid_analysis, "hyperbolic_distance",
+            lambda e1, e2, omega1, omega2, t1: 1.0
         )
         monkeypatch.setattr(
             grid_analysis, "critical_distance", lambda v1, l_p1: 1.0
@@ -521,7 +518,8 @@ class TestFaultInjection:
             grid_analysis, "elliptic_distance", lambda u_s, u_p: 0.0
         )
         monkeypatch.setattr(
-            grid_analysis, "hyperbolic_distance", lambda model: 0.0
+            grid_analysis, "hyperbolic_distance",
+            lambda e1, e2, omega1, omega2, t1: 0.0
         )
         report = run_watch(clean)
         assert [e.error for e in report.errors] == ["ZeroMiddle"]
@@ -583,7 +581,7 @@ class TestFaultInjection:
                                                        monkeypatch):
         monkeypatch.setattr(
             grid_model, "separability",
-            lambda l_p1: SeparabilityRoot(rho=math.inf, discriminant=math.inf),
+            lambda l_p1: (math.inf, math.inf),
         )
         report = run_watch(clean)
         assert [(e.error, e.stage, e.quantity) for e in report.errors] == [
@@ -598,7 +596,7 @@ class TestFaultInjection:
     def test_non_finite_result_is_contained(self, clean, monkeypatch):
         monkeypatch.setattr(
             grid_analysis, "hyperbolic_distance",
-            lambda model: float("inf"),
+            lambda e1, e2, omega1, omega2, t1: float("inf"),
         )
         report = run_watch(clean)
         assert [e.error for e in report.errors] == ["NonFiniteResult"]
