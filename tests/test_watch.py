@@ -21,6 +21,7 @@ from daywatch import (
     StateClassification,
     ThreatLevel,
     ValidationError,
+    Violation,
     ZeroMiddle,
     ZeroP3,
     emit_report,
@@ -30,6 +31,8 @@ from daywatch import (
     run_watch,
     watch,
 )
+from daywatch.checks import CheckResult
+from daywatch.io import SweepEntry, SweepSpec
 from daywatch.watch import (
     ReportFlags,
     false_alarm,
@@ -424,6 +427,25 @@ class TestRunWatchMisc:
         with pytest.raises(AttributeError):
             record.extra = 2.0
         assert record == (1.0,) * len(record_type._fields)
+
+    @pytest.mark.parametrize("make", [
+        lambda clean: RunConfig(),
+        lambda clean: run_watch(clean),
+        lambda clean: Violation("t16", "NonFinite", math.nan),
+        lambda clean: SweepSpec("delta", 0.0, 1.0, 2),
+        lambda clean: SweepEntry(1.0, None, "ValidationError"),
+        lambda clean: CheckResult("golden", True, ""),
+    ], ids=["RunConfig", "WatchReport", "Violation", "SweepSpec",
+            "SweepEntry", "CheckResult"])
+    def test_dataclasses_are_frozen(self, clean, make):
+        value = make(clean)
+        first = dataclasses.fields(value)[0].name
+        before = getattr(value, first)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, first, 2.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            value.extra = 2.0
+        assert getattr(value, first) is before
 
     def test_clamp_flags_match_raw_values(self, clean, baseline):
         for record in (clean, baseline):
