@@ -12,7 +12,12 @@ domain preconditions failed.
     report = run_watch(InputParameters(t6_1=6, t6_2=6, t16=16, t24=24,
                                        k_c=4, c_0=50, delta=0.035))
     print(report.states.threat_level, report.degraded)
+
+The built-in self-checks, daywatch.checks, load on first use: a run or a
+sweep does not pay for them.
 """
+
+import importlib
 
 from .config import RunConfig
 from .errors import (
@@ -78,6 +83,14 @@ from .watch import (
 )
 
 __version__ = "1.0.0"
+
+
+def __getattr__(name: str):
+    # `from . import checks` here would call this function again
+    if name == "checks":
+        return importlib.import_module(".checks", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "ComputationError",

@@ -11,7 +11,8 @@ import itertools
 import json
 import math
 import random
-from dataclasses import dataclass
+from fractions import Fraction
+from typing import NamedTuple
 
 from . import grid_analysis, lyapunov
 from .inputs import InputParameters
@@ -28,8 +29,7 @@ PERMANENT_RELATIVE_TOLERANCE = 1e-12
 ENDPOINT_TOLERANCE = 1e-12
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str
@@ -90,9 +90,6 @@ def check_permanent(count: int = 1000, seed: int = 20260818) -> CheckResult:
     Each float entry is n/d with d a power of two, so over the largest d
     the expansion is a sum of integer products: exact, and fast.
     """
-    # imported here, not at the top: cli imports this module on every run
-    from fractions import Fraction
-
     rng = random.Random(seed)
     worst = 0.0
     for _ in range(count):

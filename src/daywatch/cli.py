@@ -27,7 +27,6 @@ import io
 import os
 import sys
 
-from .checks import run_all
 from .config import RunConfig
 from .errors import ParseError, ValidationError
 from .grid_analysis import DEFAULT_TOLERANCE, DEFAULT_UP_LOG_MODE, UP_LOG_MODES
@@ -158,6 +157,8 @@ def _cmd_sweep(args, config, records) -> int:
 
 
 def _cmd_check() -> int:
+    from .checks import run_all  # loaded by this command alone
+
     results = run_all()
     for result in results:
         status = "PASS" if result.passed else "FAIL"

@@ -12,7 +12,6 @@ those plus the error's kind, detail and value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 
@@ -20,8 +19,7 @@ class DaywatchError(Exception):
     """Base class for every error raised by this package."""
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """A single validation failure on one input field."""
 
     field: str

@@ -51,6 +51,16 @@ class ScaledTimes(NamedTuple):
 
 def validate(params: InputParameters) -> InputParameters:
     """Check every invariant; raise one ValidationError naming all violations."""
+    t6_1, t6_2, t16, t24, k_c, c_0, delta = params[:len(FIELD_ORDER)]
+    # the common record, seven admissible floats and no long day, passes
+    # one test; any other goes through the loop, which names each violation
+    if (type(t6_1) is type(t6_2) is type(t16) is type(t24) is type(k_c)
+            is type(c_0) is type(delta) is float
+            and 0 < t6_1 <= LONG_DAY_HOURS and 0 < t6_2 <= LONG_DAY_HOURS
+            and 0 < t16 <= LONG_DAY_HOURS and 0 < t24 <= LONG_DAY_HOURS
+            and 0 <= k_c < math.inf and 0 <= c_0 < math.inf
+            and 0 <= delta < math.inf):
+        return params
     violations = []
     for name, value in zip(FIELD_ORDER, params):
         if not isinstance(value, (int, float)) or isinstance(value, bool):

@@ -28,6 +28,10 @@ its pure-Python encoder, which took longer than computing the report.
 
 Sweeps stream: sweep yields each point's entry as soon as it is evaluated,
 so a caller writes each sweep_row as it goes and holds one report at a time.
+
+SweepSpec and SweepEntry are named tuples, like the reports they carry.
+A SweepSpec checks its fields however it is made, _replace and _make
+included, so a bad range or step count never reaches sweep.
 """
 
 from __future__ import annotations
@@ -38,8 +42,8 @@ import json
 import math
 import operator
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _encode_string
+from typing import NamedTuple
 
 from .config import RunConfig
 from .errors import ErrorRecord, ParseError, ValidationError
@@ -266,16 +270,20 @@ def emit_report(report: WatchReport, format: str = "json") -> str:
                      f"got {format!r}")
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """Uniform sweep of one input field over [start, stop]."""
-
+class _SweepSpecFields(NamedTuple):
     parameter: str
     start: float
     stop: float
     steps: int
 
-    def __post_init__(self) -> None:
+
+class SweepSpec(_SweepSpecFields):
+    """Uniform sweep of one input field over [start, stop]."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.parameter not in FIELD_ORDER:
             raise ValueError(f"parameter must be one of {FIELD_ORDER}, "
                              f"got {self.parameter!r}")
@@ -284,6 +292,12 @@ class SweepSpec:
                              f"[{self.start!r}, {self.stop!r}]")
         if self.steps < 2:
             raise ValueError(f"steps must be at least 2, got {self.steps!r}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # the inherited _make, which _replace calls, skips __new__
+        return cls(*iterable)
 
     def value_at(self, index: int) -> float:
         if index == self.steps - 1:  # the formula may miss stop by an ulp
@@ -291,8 +305,7 @@ class SweepSpec:
         return self.start + index * (self.stop - self.start) / (self.steps - 1)
 
 
-@dataclass(frozen=True)
-class SweepEntry:
+class SweepEntry(NamedTuple):
     """One sweep point: either a report or the reason there is none."""
 
     value: float

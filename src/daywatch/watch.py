@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import grid_analysis, grid_model, inputs, lyapunov
@@ -68,8 +67,7 @@ class ReportFlags(NamedTuple):
     pg_undefined: bool
 
 
-@dataclass(frozen=True)
-class WatchReport:
+class WatchReport(NamedTuple):
     """Everything the watch knows about one day-ahead record."""
 
     params: InputParameters

@@ -1,15 +1,20 @@
 """Validation and time-scaling behaviour of the input layer."""
 
+import itertools
 import logging
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from daywatch import InputParameters, ValidationError
+from daywatch import InputParameters, ValidationError, Violation
 from daywatch.inputs import (
     DOUBLING_THRESHOLD_HOURS,
     FIELD_ORDER,
     LONG_DAY_HOURS,
+    NONNEGATIVE_FIELDS,
+    TIME_FIELDS,
     scale_times,
     validate,
 )
@@ -23,7 +28,87 @@ def make(**overrides):
     return InputParameters(**base)
 
 
+def loop_validate(params):
+    """validate as one loop over the fields: the reference for its fast path."""
+    violations = []
+    for name, value in zip(FIELD_ORDER, params):
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            violations.append(Violation(name, "NonFinite", float("nan")))
+            continue
+        if not math.isfinite(value):
+            violations.append(Violation(name, "NonFinite", value))
+        elif name in TIME_FIELDS and value <= 0:
+            violations.append(Violation(name, "NonPositiveTime", value))
+        elif name in NONNEGATIVE_FIELDS and value < 0:
+            violations.append(Violation(name, "NegativeParameter", value))
+    if violations:
+        raise ValidationError(violations)
+    for name, value in zip(TIME_FIELDS, params):
+        if value > LONG_DAY_HOURS:
+            logging.getLogger("daywatch.inputs").warning(
+                "%s = %r exceeds %s h; accepted but suspicious",
+                name, value, LONG_DAY_HOURS)
+    return params
+
+
+class Messages(logging.Handler):
+    def __init__(self):
+        super().__init__()
+        self.messages = []
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+
+def outcome(function, record):
+    """What function(record) returns or raises, and the warnings it logs.
+
+    Each violation is compared by the type and repr of its value, which
+    tell an int from a float, -0.0 from 0.0 and a NaN from a NaN.
+    """
+    logger, handler = logging.getLogger("daywatch.inputs"), Messages()
+    logger.addHandler(handler)
+    try:
+        result = ("returned", function(record) is record)
+    except ValidationError as exc:
+        result = ("raised", [(v.field, v.kind, type(v.value), repr(v.value))
+                             for v in exc.violations])
+    except OverflowError:  # math.isfinite of an int past the float range
+        result = ("raised", OverflowError)
+    finally:
+        logger.removeHandler(handler)
+    return result, handler.messages
+
+
+ODD_VALUES = (True, False, 0, 7, -3, 10**400, -10**400, -0.0, 0.0, 5e-324,
+              -1.0, LONG_DAY_HOURS, math.nextafter(LONG_DAY_HOURS, math.inf),
+              math.nan, math.inf, -math.inf, None, "6")
+
+
 class TestValidate:
+    def test_matches_the_loop_on_each_odd_field(self, baseline):
+        for name, value in itertools.product(FIELD_ORDER, ODD_VALUES):
+            record = baseline._replace(**{name: value})
+            assert outcome(validate, record) \
+                == outcome(loop_validate, record), (name, value)
+
+    @settings(max_examples=300, deadline=None)
+    @given(base=st.lists(st.floats(min_value=0.0, max_value=60.0),
+                         min_size=7, max_size=7),
+           changes=st.dictionaries(
+               st.sampled_from(FIELD_ORDER),
+               st.one_of(st.sampled_from(ODD_VALUES), st.floats(),
+                         st.integers(min_value=-100, max_value=100))))
+    @example(base=[6.0, 6.0, 16.0, 24.0, 4.0, 50.0, 0.035], changes={})
+    @example(base=[6.0] * 7, changes={"t6_1": True, "k_c": 3, "t16": -0.0,
+                                      "c_0": -0.0, "delta": math.nan,
+                                      "t24": -math.inf, "t6_2": math.inf})
+    @example(base=[6.0] * 7, changes={"t24": 10**400})
+    @example(base=[6.0] * 7, changes={"t6_2": 49.0, "c_0": 10**400})
+    def test_matches_the_loop(self, base, changes):
+        record = InputParameters(*base)._replace(**changes)
+        assert outcome(validate, record) == outcome(loop_validate, record)
+
     def test_accepts_baseline(self, baseline):
         validate(baseline)
 

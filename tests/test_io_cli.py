@@ -1,7 +1,6 @@
 """Parsing, serialization, sweeps, and the command-line surface."""
 
 import csv
-import dataclasses
 import io
 import itertools
 import json
@@ -110,11 +109,10 @@ def reference_text(report):
 def with_leaf(report, section, key, value):
     """The report with one numeric leaf of its dict form replaced."""
     if section == "input":
-        return dataclasses.replace(
-            report, params=report.params._replace(**{key: value}))
+        return report._replace(params=report.params._replace(**{key: value}))
     if key in report.trace:
-        return dataclasses.replace(report, trace={**report.trace, key: value})
-    return dataclasses.replace(report, **{key: value})
+        return report._replace(trace={**report.trace, key: value})
+    return report._replace(**{key: value})
 
 
 times = st.one_of(st.floats(min_value=0.01, max_value=60.0),
@@ -372,7 +370,7 @@ class TestByteIdentity:
         # the baseline's own records carry float values
         assert all(isinstance(record.value, float)
                    for record in report.errors)
-        edited = dataclasses.replace(report, errors=(
+        edited = report._replace(errors=(
             ErrorRecord("grid-analysis", "r_c", "ZeroLp1", "l_p1 is zero"),
             *report.errors,
             ErrorRecord("watch", "p_miss_raw", "NegativeMissRadicand",
@@ -384,7 +382,7 @@ class TestByteIdentity:
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     def test_non_finite_leaf_is_refused(self, baseline, value):
         report = run_watch(baseline)
-        edited = [dataclasses.replace(report, errors=(ErrorRecord(
+        edited = [report._replace(errors=(ErrorRecord(
             "watch", "p_miss_raw", "NegativeMissRadicand",
             "miss radicand is negative", value),))]
         for section, fields in report_as_dict(report).items():
@@ -784,13 +782,20 @@ class TestCli:
                              ids=["run", "sweep"])
     def test_holds_one_report_at_a_time(self, tmp_path, capsys, monkeypatch,
                                         name, module):
-        reports = []  # a weak reference to each report made
-        alive = []    # how many of them are alive as each evaluation starts
+        # a report is a tuple, which cannot be weakly referenced, so each
+        # report carries its trace in a dict subclass that can, and only
+        # the report holds that trace
+        class Traced(dict):
+            pass
+
+        traces = []  # a weak reference to each report's trace
+        alive = []   # how many of them are alive as each evaluation starts
 
         def watched(point, config):
-            alive.append(sum(ref() is not None for ref in reports))
+            alive.append(sum(ref() is not None for ref in traces))
             report = run_watch(point, config)
-            reports.append(weakref.ref(report))
+            report = report._replace(trace=Traced(report.trace))
+            traces.append(weakref.ref(report.trace))
             return report
 
         monkeypatch.setattr(getattr(daywatch, module), "run_watch", watched)
@@ -912,3 +917,15 @@ class TestCli:
                   "'logging' in sys.modules)")
         assert completed.returncode == 0
         assert completed.stdout == "False False\n"
+
+    def test_cli_import_leaves_dataclasses_and_the_checks_unloaded(self):
+        # the records are named tuples, so nothing loads dataclasses and
+        # the inspect module it brings; the self-checks load on first use
+        completed = run_child(
+            "-c", "import sys, daywatch.cli; "
+                  "print(*(name in sys.modules for name in "
+                  "('dataclasses', 'inspect', 'daywatch.checks'))); "
+                  "import daywatch; "
+                  "print(callable(getattr(daywatch, 'checks').run_all))")
+        assert completed.returncode == 0
+        assert completed.stdout == "False False False\nTrue\n"

@@ -1,6 +1,5 @@
 """The watch layer: chains, alarm probabilities, and the gated pipeline."""
 
-import dataclasses
 import gc
 import itertools
 import math
@@ -122,6 +121,12 @@ STEPS = [
     (watch, "fourth_probability", "watch", "p_miss_raw", {"p4"}),
     (watch, "miss_probability", "watch", "p_miss_raw", set()),
 ]
+
+# An admissible value of each record type that checks its fields.
+ADMISSIBLE = {
+    RunConfig: {"equality_tolerance": 1e-6, "up_log_mode": "strict"},
+    SweepSpec: {"parameter": "delta", "start": 0.0, "stop": 1.0, "steps": 3},
+}
 
 
 def undefined_keys(report):
@@ -371,8 +376,7 @@ class TestRunWatchClean:
         # non-positive for distinct distances), so exercise the predicate
         # on a doctored copy
         report = run_watch(clean)
-        healthy = dataclasses.replace(
-            report,
+        healthy = report._replace(
             flags=report.flags._replace(pf_out_of_range=False),
             errors=(),
         )
@@ -439,13 +443,36 @@ class TestRunWatchMisc:
             "SweepEntry", "CheckResult"])
     def test_dataclasses_are_frozen(self, clean, make):
         value = make(clean)
-        first = dataclasses.fields(value)[0].name
+        first = value._fields[0]
         before = getattr(value, first)
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             setattr(value, first, 2.0)
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             value.extra = 2.0
         assert getattr(value, first) is before
+
+    @pytest.mark.parametrize("path", [
+        lambda cls, fields: cls(*fields.values()),
+        lambda cls, fields: cls(**fields),
+        lambda cls, fields: cls(**ADMISSIBLE[cls])._replace(**fields),
+        lambda cls, fields: cls._make(fields.values()),
+    ], ids=["positional", "keyword", "_replace", "_make"])
+    @pytest.mark.parametrize("cls, field, value", [
+        (RunConfig, "equality_tolerance", 0.0),
+        (RunConfig, "equality_tolerance", -1.0),
+        (RunConfig, "equality_tolerance", math.nan),
+        (RunConfig, "up_log_mode", "loose"),
+        (SweepSpec, "start", 1.0),  # start == stop
+        (SweepSpec, "start", 2.0),
+        (SweepSpec, "steps", 1),
+        (SweepSpec, "parameter", "bogus"),
+    ], ids=lambda value: getattr(value, "__name__", str(value)))
+    def test_checks_hold_on_every_construction_path(self, path, cls, field,
+                                                    value):
+        fields = ADMISSIBLE[cls]
+        assert path(cls, fields) == tuple(fields.values())
+        with pytest.raises(ValueError, match=field):
+            path(cls, {**fields, field: value})
 
     def test_clamp_flags_match_raw_values(self, clean, baseline):
         for record in (clean, baseline):
