@@ -6,7 +6,8 @@ Exit codes
     2   at least one record degraded: errors, anomaly flags, or
         inadmissible parameter values; or an option value was bad
     3   the input could not be read, or a row of it could not be parsed
-        (the reports of the rows before it are still written)
+        (the reports of the rows before it are still written, for JSON
+        as for CSV, since both are read one record at a time)
     141 stdout was closed early (128 + SIGPIPE)
 
 The first problem found sets the code, in this order: a usage error

@@ -66,7 +66,11 @@ def validate(params: InputParameters) -> InputParameters:
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             violations.append(Violation(name, "NonFinite", float("nan")))
             continue
-        if not math.isfinite(value):
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:  # an int past the double range
+            finite, value = False, math.inf if value > 0 else -math.inf
+        if not finite:
             violations.append(Violation(name, "NonFinite", value))
         elif name in TIME_FIELDS and value <= 0:
             violations.append(Violation(name, "NonPositiveTime", value))

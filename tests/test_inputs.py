@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from daywatch import InputParameters, ValidationError, Violation
+from daywatch import InputParameters, ValidationError, Violation, run_watch
 from daywatch.inputs import (
     DOUBLING_THRESHOLD_HOURS,
     FIELD_ORDER,
@@ -35,7 +35,11 @@ def loop_validate(params):
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             violations.append(Violation(name, "NonFinite", float("nan")))
             continue
-        if not math.isfinite(value):
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:  # an int past the double range
+            finite, value = False, math.inf if value > 0 else -math.inf
+        if not finite:
             violations.append(Violation(name, "NonFinite", value))
         elif name in TIME_FIELDS and value <= 0:
             violations.append(Violation(name, "NonPositiveTime", value))
@@ -73,8 +77,6 @@ def outcome(function, record):
     except ValidationError as exc:
         result = ("raised", [(v.field, v.kind, type(v.value), repr(v.value))
                              for v in exc.violations])
-    except OverflowError:  # math.isfinite of an int past the float range
-        result = ("raised", OverflowError)
     finally:
         logger.removeHandler(handler)
     return result, handler.messages
@@ -131,6 +133,17 @@ class TestValidate:
         with pytest.raises(ValidationError) as excinfo:
             validate(make(c_0=bad))
         assert excinfo.value.fields == ("c_0",)
+
+    @pytest.mark.parametrize("huge, value", [(10**400, math.inf),
+                                             (-10**400, -math.inf)],
+                             ids=["positive", "negative"])
+    def test_int_past_the_double_range_is_non_finite(self, huge, value):
+        # the value the JSON parser gives such an int, not an OverflowError
+        with pytest.raises(ValidationError) as excinfo:
+            run_watch(make(t6_1=huge))
+        assert excinfo.value.violations == (Violation("t6_1", "NonFinite",
+                                                      value),)
+        assert "NonFinite(t6_1)" in str(excinfo.value)
 
     def test_rejects_bool(self):
         # bool is an int subtype; it must not sneak through as 1.0

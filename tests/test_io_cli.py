@@ -126,6 +126,12 @@ dates = st.none() | st.text(st.characters()
 records = st.builds(InputParameters, t6_1=times, t6_2=times, t16=times,
                     t24=times, k_c=amounts, c_0=amounts, delta=amounts,
                     date=dates)
+# JSON records, and the whitespace the encoder may put between tokens
+json_entries = st.fixed_dictionaries(
+    {name: st.floats(allow_nan=False, allow_infinity=False)
+     | st.integers(min_value=-10**30, max_value=10**30)
+     for name in FIELD_ORDER}, optional={"date": dates})
+json_spaces = st.text(" \t\n\r", max_size=3)
 
 
 class TestParseCsv:
@@ -242,6 +248,91 @@ class TestParseJson:
     def test_invalid_json(self):
         with pytest.raises(ParseError):
             parsed("{not json", "json")
+
+    @settings(max_examples=200, deadline=None)
+    @given(entries=st.lists(json_entries, max_size=4),
+           chunk=st.integers(min_value=1, max_value=16),
+           indent=st.none() | st.integers(min_value=0, max_value=3)
+           | st.sampled_from(["\t", "\r\n "]),
+           item=st.tuples(json_spaces, json_spaces),
+           key=st.tuples(json_spaces, json_spaces),
+           ascii=st.booleans(), before=json_spaces, after=json_spaces)
+    @example(entries=[dict(t6_1=6, t6_2=6.5, t16=1e300, t24=-0.0, k_c=0.0,
+                           c_0=5e-324, delta=0.035, date=ESCAPED_DATE),
+                      dict(t6_1=10**30, t6_2=1.5, t16=16, t24=24, k_c=4,
+                           c_0=50, delta=0.035, date=None)],
+             chunk=1, indent=None, item=("", " "), key=("", " "),
+             ascii=True, before="", after="")
+    def test_matches_json_loads_in_chunks_of_any_size(
+            self, entries, chunk, indent, item, key, ascii, before, after):
+        text = before + json.dumps(
+            entries, indent=indent, ensure_ascii=ascii,
+            separators=(item[0] + "," + item[1], key[0] + ":" + key[1])
+        ) + after
+        expected = [InputParameters(*(float(entry[name])
+                                      for name in FIELD_ORDER),
+                                    entry.get("date"))
+                    for entry in json.loads(text)]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(daywatch.io, "_CHUNK_SIZE", chunk)
+            assert parsed(text, "json") == expected
+
+    def test_a_stream_that_fails_later_still_yields_its_first_record(self):
+        text = json.dumps([self.record(date="a"), self.record(date="b")])
+
+        class Failing:  # gives the first record, then fails
+            reads = 0
+
+            def read(self, size):
+                self.reads += 1
+                if self.reads > 1:
+                    raise OSError("input gone")
+                return text[:text.index("}") + 10]
+
+        records = parse_records(Failing(), "json")
+        row, record = next(records)
+        assert (row, record.date) == (1, "a")
+        with pytest.raises(OSError):
+            next(records)
+
+    def test_a_long_element_takes_few_reads(self):
+        sizes = []
+
+        class Counting(io.StringIO):
+            def read(self, size):
+                sizes.append(size)
+                return super().read(size)
+
+        date = "x" * 10**6
+        text = json.dumps([self.record(date=date)])
+        (row, record), = parse_records(Counting(text), "json")
+        assert (row, record.date) == (1, date)
+        assert len(sizes) <= math.ceil(
+            math.log2(10**6 / daywatch.io._CHUNK_SIZE)) + 2
+
+    @pytest.mark.parametrize("chunk", [16, daywatch.io._CHUNK_SIZE],
+                             ids=["small-chunks", "one-chunk"])
+    def test_a_malformed_element_is_reported_before_the_rest_is_read(
+            self, monkeypatch, chunk):
+        monkeypatch.setattr(daywatch.io, "_CHUNK_SIZE", chunk)
+        good = json.dumps(self.record())
+        head = f"[{good}, {good}, " + '{"t6_1": oops}'
+        text = head + f", {good}" * 5000 + "]"
+        read = []
+
+        class Counting(io.StringIO):
+            def read(self, size):
+                read.append(super().read(size))
+                return read[-1]
+
+        records = parse_records(Counting(text), "json")
+        assert [row for row, _ in itertools.islice(records, 2)] == [1, 2]
+        with pytest.raises(ParseError) as caught:
+            next(records)
+        assert caught.value.row == 3
+        # a refill reads at most as much again as is pending: at most
+        # twice the text up to the bad token, not the rest of the input
+        assert sum(map(len, read)) <= 2 * (len(head) + chunk)
 
     def test_unknown_format_is_a_usage_error(self):
         with pytest.raises(ValueError):
@@ -716,6 +807,45 @@ class TestCli:
             == ["a", "b"]
         assert captured.err.startswith("daywatch: unparseable input: row 3: ")
 
+    def dated_json(self, dates):
+        """The JSON text of a baseline record for each date."""
+        return [json.dumps(dict(date=date, t6_1=6, t6_2=6, t16=16, t24=24,
+                                k_c=4, c_0=50, delta=0.035))
+                for date in dates]
+
+    @pytest.mark.parametrize("chunk", [7, daywatch.io._CHUNK_SIZE],
+                             ids=["small-chunks", "one-chunk"])
+    def test_malformed_json_element_ends_the_run_after_the_ones_before_it(
+            self, tmp_path, capsys, monkeypatch, chunk):
+        monkeypatch.setattr(daywatch.io, "_CHUNK_SIZE", chunk)
+        first, second, fourth = self.dated_json("abd")
+        text = (f"[{first},\n{second},\n"
+                '{"date": "c", "t6_1": 6, "t16": abc},\n'
+                f"{fourth}]\n")
+        path = self.write(tmp_path, "malformed.json", text)
+        code = main(["run", "--input", path, "--format", "json"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert [d["input"]["date"] for d in documents_of(captured.out)] \
+            == ["a", "b"]
+        # the offset is the input's, not the chunk's
+        assert captured.err == (
+            "daywatch: unparseable input: row 3: not valid JSON: "
+            f"Expecting value (char {text.index('abc')})\n")
+
+    def test_data_after_the_json_array_ends_the_run_after_its_reports(
+            self, tmp_path, capsys):
+        text = "[" + ",".join(self.dated_json("ab")) + "]\n]"
+        path = self.write(tmp_path, "extra.json", text)
+        code = main(["run", "--input", path, "--format", "json"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert [d["input"]["date"] for d in documents_of(captured.out)] \
+            == ["a", "b"]
+        assert captured.err == (
+            "daywatch: unparseable input: row 0: not valid JSON: "
+            f"Extra data (char {len(text) - 1})\n")
+
     def test_long_day_is_warned_once(self, tmp_path, capsys, caplog):
         path = self.write(tmp_path, "long.csv",
                           "date,t6_1,t6_2,t16,t24,k_c,c_0,delta\n"
@@ -870,6 +1000,25 @@ class TestCli:
             assert row["degraded"] == "True"
             assert row["trade_volume_pct"] == ""
             assert row["error"] == "NonPositiveTime(t6_1) value=-1.0"
+
+    @pytest.mark.parametrize("format, text", [
+        ("csv", "date,t6_1,t6_2,t16,t24,k_c,c_0,delta\n"
+                "a,6,6,16,24,4,50,0.035\n"
+                "b,6,6,abc,24,4,50,0.035\n"),
+        ("json", '[{"date": "a", "t6_1": 6, "t6_2": 6, "t16": 16, "t24": 24, '
+                 '"k_c": 4, "c_0": 50, "delta": 0.035},\n'
+                 '{"date": "b", "t16": abc'),
+    ], ids=["csv", "json"])
+    def test_sweep_reads_only_its_base_record(self, tmp_path, capsys, format,
+                                              text):
+        path = self.write(tmp_path, f"base.{format}", text)
+        code = main(["sweep", "--input", path, "--format", format,
+                     "--param", "delta", "--from", "0", "--to", "1",
+                     "--steps", "3"])
+        captured = capsys.readouterr()
+        assert code == 2  # the baseline record is degraded
+        assert len(captured.out.splitlines()) == 4
+        assert captured.err == ""
 
     def test_sweep_rejects_a_bad_spec(self, tmp_path, capsys):
         code = main(["sweep", "--input", self.baseline_csv(tmp_path),
