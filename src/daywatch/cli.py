@@ -105,8 +105,12 @@ class _Blocks:
     def write(self, text: str) -> None:
         self.block.write(text)
         if self.block.tell() >= io.DEFAULT_BUFFER_SIZE:
-            sys.stdout.write(self.block.getvalue())
-            self.block.seek(self.block.truncate(0))
+            self.send()
+
+    def send(self) -> None:
+        """Write the block out and start the next one in its place."""
+        sys.stdout.write(self.block.getvalue())
+        self.block.seek(self.block.truncate(0))
 
     def close(self) -> None:
         sys.stdout.write(self.block.getvalue())
@@ -146,12 +150,16 @@ def _cmd_sweep(args, config, records) -> int:
         return EXIT_UNPARSEABLE
     # only rows outlive a step, so one report at a time is alive
     out = _Blocks()
-    writer = csv.writer(out, lineterminator="\n")
+    # the writer fills the block itself, with no Python-level write per row
+    block, full = out.block, io.DEFAULT_BUFFER_SIZE
+    writer = csv.writer(block, lineterminator="\n")
     writer.writerow(SWEEP_COLUMNS)
     degraded = SWEEP_COLUMNS.index("degraded")
     clean = True
     for row in map(sweep_row, sweep(base, spec, config)):
         writer.writerow(row)  # csv writes None as ""
+        if block.tell() >= full:
+            out.send()
         clean = clean and not row[degraded]
     out.close()
     return EXIT_OK if clean else EXIT_DEGRADED

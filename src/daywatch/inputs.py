@@ -87,15 +87,11 @@ def validate(params: InputParameters) -> InputParameters:
     return params
 
 
-def _scale(t: float, doubling: bool) -> float:
-    # the doubling branch is strict: exactly 9.5 h falls on the plain branch
-    if doubling and t < DOUBLING_THRESHOLD_HOURS:
-        return 2 * t / 10
-    return t / 10
-
-
 def scale_times(params: InputParameters) -> ScaledTimes:
-    return ScaledTimes(_scale(params.t6_1, doubling=True),
-                       _scale(params.t6_2, doubling=False),
-                       _scale(params.t16, doubling=True),
-                       _scale(params.t24, doubling=False))
+    t6_1, t6_2, t16, t24 = params[:4]
+    # the doubling branch is strict: exactly 9.5 h falls on the plain branch
+    return ScaledTimes(
+        2 * t6_1 / 10 if t6_1 < DOUBLING_THRESHOLD_HOURS else t6_1 / 10,
+        t6_2 / 10,
+        2 * t16 / 10 if t16 < DOUBLING_THRESHOLD_HOURS else t16 / 10,
+        t24 / 10)

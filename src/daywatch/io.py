@@ -7,8 +7,9 @@ Input formats
 
 Records stream: parse_records yields each record unvalidated as its row
 is read, so run_watch is the one validator.  A JSON array is read in
-fixed chunks and decoded one element at a time, so neither format holds
-more of the input than one chunk and the record being read.
+fixed chunks and decoded one element at a time (json_reader, imported
+for JSON input alone), so neither format holds more of the input than
+one chunk and the record being read.
 
 Report serialization is deterministic: fixed key order, shortest
 round-trip decimals, and undefined quantities as null next to a flag or
@@ -41,7 +42,6 @@ from __future__ import annotations
 import csv
 import itertools
 import json
-import math
 import operator
 from collections.abc import Iterable, Iterator
 from json.encoder import encode_basestring_ascii as _encode_string
@@ -124,138 +124,6 @@ def _parse_csv(lines: Iterable[str]) -> Iterator[tuple[int, InputParameters]]:
         yield row_number, InputParameters(*numbers, row[0].strip() or None)
 
 
-# JSON input is read in chunks of this many characters
-_CHUNK_SIZE = 64 * 1024
-_skip_whitespace = json.decoder.WHITESPACE.match
-_decode_value = json.JSONDecoder().raw_decode
-# the keys a JSON record must have, and those it may have
-_REQUIRED_KEYS = frozenset(FIELD_ORDER)
-_ALLOWED_KEYS = _REQUIRED_KEYS | {"date"}
-# a token cut by the buffer's end fails within this many characters of it
-_LONGEST_TOKEN = len("-Infinity")
-
-
-def _json_elements(stream: TextIO) -> Iterator[tuple[int, object]]:
-    """Yield (row_number, element) for each element of a JSON array.
-
-    The stream is read _CHUNK_SIZE characters at a time and each element
-    decoded where it starts, so only the unread rest of a chunk and the
-    element being read are held.  A syntax error is reported as soon as
-    more input cannot mend it.  A number element cut by a chunk's end
-    decodes short: records are objects, so the caller rejects a number
-    element whatever its value.  Input that is not an array is decoded
-    whole, so that json.loads gives its messages.
-    """
-    # leading whitespace is kept: it moves the positions those messages give
-    chunks = []
-    while chunk := stream.read(_CHUNK_SIZE):
-        chunks.append(chunk)
-        if _skip_whitespace(chunk).end() < len(chunk):
-            break
-    buffer = "".join(chunks)
-    index = _skip_whitespace(buffer).end()
-    if buffer[index:index + 1] != "[":
-        text = buffer + stream.read()
-        if not text.strip():
-            return
-        try:
-            json.loads(text)
-        except (ValueError, RecursionError) as exc:
-            # ValueError is also raised for an int past the digit limit
-            raise ParseError(0, f"not valid JSON: {exc}") from None
-        raise ParseError(0, "top level must be an array of records")
-    # buffer[index] is the input's character number offset + index
-    index, offset, eof = index + 1, 0, False
-
-    def refill() -> None:
-        # read at least as much as is pending, so that an element n
-        # characters long is decoded afresh O(log n) times
-        nonlocal buffer, index, offset, eof
-        chunk = stream.read(max(_CHUNK_SIZE, len(buffer) - index))
-        buffer, offset, index = buffer[index:] + chunk, offset + index, 0
-        eof = not chunk
-
-    def next_character() -> str:
-        """The next character that is not whitespace; "" at the end."""
-        nonlocal index
-        while True:
-            index = _skip_whitespace(buffer, index).end()
-            if index < len(buffer) or eof:
-                return buffer[index:index + 1]
-            refill()
-
-    def syntax_error(row: int, message: str, at: int) -> ParseError:
-        return ParseError(row, f"not valid JSON: {message} "
-                               f"(char {offset + at})")
-
-    row = 0
-    character = next_character()
-    while character != "]":
-        if row:
-            if character != ",":
-                raise syntax_error(row + 1, "Expecting ',' delimiter", index)
-            index += 1
-        row += 1
-        while True:
-            index = _skip_whitespace(buffer, index).end()
-            try:
-                element, end = _decode_value(buffer, index)
-                break
-            except json.JSONDecodeError as exc:
-                # the element may go on in the next chunk only if the
-                # decode ran into the buffer's end: an open string, or
-                # a token cut short
-                if eof or not (
-                        exc.msg.startswith("Unterminated string")
-                        or exc.pos >= len(buffer) - _LONGEST_TOKEN):
-                    raise syntax_error(row, exc.msg, exc.pos) from None
-            except (ValueError, RecursionError) as exc:
-                # past the digit limit or nested too deep: more input
-                # cannot mend it
-                raise ParseError(row, f"not valid JSON: {exc}") from None
-            refill()
-        yield row, element
-        index = _skip_whitespace(buffer, end).end()
-        character = buffer[index:index + 1] or next_character()
-    index += 1
-    if next_character():
-        raise syntax_error(0, "Extra data", index)
-
-
-def _parse_json(stream: TextIO) -> Iterator[tuple[int, InputParameters]]:
-    # streamed: each element is checked as soon as it is decoded, and a
-    # syntax error only ends the batch at the element that holds it
-    for row_number, entry in _json_elements(stream):
-        if not isinstance(entry, dict):
-            raise ParseError(row_number, "record must be an object")
-        keys = entry.keys()
-        if not (keys <= _ALLOWED_KEYS and keys >= _REQUIRED_KEYS):
-            unknown = keys - _ALLOWED_KEYS
-            if unknown:
-                raise ParseError(row_number,
-                                 f"unexpected fields: {sorted(unknown)}")
-            raise ParseError(row_number, "missing fields: "
-                             f"{sorted(_REQUIRED_KEYS - keys)}")
-        date = entry.get("date")
-        if date is not None and not isinstance(date, str):
-            raise ParseError(row_number, "date must be a string or null")
-        numbers = []
-        for name in FIELD_ORDER:
-            value = entry[name]
-            # json gives numbers as exactly int or float; a bool is neither
-            kind = type(value)
-            if kind is not float:
-                if kind is not int:
-                    raise ParseError(row_number, f"field {name!r} is not "
-                                                 f"a number: {value!r}")
-                try:
-                    value = float(value)
-                except OverflowError:  # an int past the double range
-                    value = math.inf if value > 0 else -math.inf
-            numbers.append(value)
-        yield row_number, InputParameters(*numbers, date)
-
-
 def parse_records(stream: TextIO, format: str = "csv"
                   ) -> Iterator[tuple[int, InputParameters]]:
     """Yield (row_number, record) from text, one row at a time.
@@ -270,7 +138,10 @@ def parse_records(stream: TextIO, format: str = "csv"
     if format not in INPUT_FORMATS:
         raise ValueError(f"format must be one of {INPUT_FORMATS}, "
                          f"got {format!r}")
-    return _parse_csv(stream) if format == "csv" else _parse_json(stream)
+    if format == "csv":
+        return _parse_csv(stream)
+    from .json_reader import parse_json  # compiled by JSON runs alone
+    return parse_json(stream)
 
 
 def _state_values(states: StateClassification) -> tuple[str | None, ...]:
@@ -417,14 +288,17 @@ def sweep(base: InputParameters, spec: SweepSpec,
     point is evaluated; a point whose record is inadmissible yields an
     error entry instead of aborting the sweep.
     """
+    # each point is the base's fields with the swept one in its place,
+    # made as _replace would make it but without a keyword call per point
+    swept = FIELD_ORDER.index(spec.parameter)
+    make, head, tail = base._make, base[:swept], base[swept + 1:]
     for index in range(spec.steps):
         value = spec.value_at(index)
-        point = base._replace(**{spec.parameter: value})
         try:
-            entry = SweepEntry(value=value, report=run_watch(point, config),
-                               error=None)
+            entry = SweepEntry(value, run_watch(make((*head, value, *tail)),
+                                                config), None)
         except ValidationError as exc:
-            entry = SweepEntry(value=value, report=None, error=str(exc))
+            entry = SweepEntry(value, None, str(exc))
         yield entry
         # hold no report while the next point is evaluated
         del entry

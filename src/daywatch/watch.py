@@ -167,10 +167,11 @@ def _step(errors: list[ErrorRecord], stage: str, quantity: str,
         kind, detail, value = (_NON_FINITE,
                                "evaluation left the float range", None)
     else:
-        if isinstance(result, tuple):
-            if all(map(math.isfinite, result)):
+        # most steps return a float: one type test settles those
+        if type(result) is float or not isinstance(result, tuple):
+            if math.isfinite(result):
                 return result
-        elif math.isfinite(result):
+        elif all(map(math.isfinite, result)):
             return result
         kind, detail, value = _NON_FINITE, "result is not finite", None
     errors.append(ErrorRecord(stage, quantity, kind, detail,
@@ -281,28 +282,12 @@ def run_watch(params: InputParameters,
         "r_small": r_small, "r_mid": r_mid, "r_big": r_big,
         "p1": p1, "p2": p2, "p3": p3, "p4": p4,
     }
-    flags = ReportFlags(
-        paper_gap_flag=paper_gap,
-        valid_percentage=v_m is not None and 0 <= v_m <= 100,
-        v1_in_unit_interval=v1 is not None and 0 <= v1 <= 1,
-        pf_out_of_range=pf_out_of_range,
-        pm_out_of_range=pm_out_of_range,
-        pg_undefined=p_g is None,
-    )
-    states = StateClassification(
-        market_state=market_state,
-        grid_state=grid_state,
-        threat_level=threat,
-    )
-    return WatchReport(
-        params=params,
-        trade_volume_pct=v_m,
-        states=states,
-        p_false_alarm_raw=p_f_raw,
-        p_false_alarm=p_f,
-        p_miss_raw=p_m_raw,
-        p_miss=p_m,
-        flags=flags,
-        trace=trace,
-        errors=tuple(errors),
-    )
+    # positional: keyword construction of a named tuple costs about twice
+    # as much, and this runs once per record
+    flags = ReportFlags(paper_gap, v_m is not None and 0 <= v_m <= 100,
+                        v1 is not None and 0 <= v1 <= 1, pf_out_of_range,
+                        pm_out_of_range, p_g is None)
+    return WatchReport(params, v_m,
+                       StateClassification(market_state, grid_state, threat),
+                       p_f_raw, p_f, p_m_raw, p_m, flags, trace,
+                       tuple(errors))

@@ -195,12 +195,22 @@ class TestScaling:
         assert scaled.t6_1_s == pytest.approx(1.2, rel=1e-15)
         assert scaled.t16_s == pytest.approx(1.8, rel=1e-15)
 
-    def test_threshold_is_strict(self):
+    @pytest.mark.parametrize("field", ["t6_1", "t16"])
+    def test_threshold_is_strict(self, field):
         # exactly at the threshold the plain branch applies
-        at = scale_times(make(t6_1=DOUBLING_THRESHOLD_HOURS))
-        assert at.t6_1_s == pytest.approx(0.95, rel=1e-15)
-        below = scale_times(make(t6_1=math.nextafter(DOUBLING_THRESHOLD_HOURS, 0.0)))
-        assert below.t6_1_s == pytest.approx(1.9, rel=1e-12)
+        scaled = field + "_s"
+        at = scale_times(make(**{field: DOUBLING_THRESHOLD_HOURS}))
+        assert getattr(at, scaled) == pytest.approx(0.95, rel=1e-15)
+        assert getattr(at, scaled) == DOUBLING_THRESHOLD_HOURS / 10
+        hours = math.nextafter(DOUBLING_THRESHOLD_HOURS, 0.0)
+        below = scale_times(make(**{field: hours}))
+        assert getattr(below, scaled) == pytest.approx(1.9, rel=1e-12)
+        # doubled before the division, as the report's bytes pin it
+        assert getattr(below, scaled) == 2 * hours / 10
+        # the other doubling field keeps its own branch
+        other = "t16_s" if field == "t6_1" else "t6_1_s"
+        assert getattr(at, other) == getattr(below, other) \
+            == getattr(scale_times(make()), other)
 
     def test_plain_fields_never_double(self):
         scaled = scale_times(make(t6_2=3.0, t24=3.0))

@@ -19,11 +19,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import daywatch
+import daywatch.json_reader
 from daywatch import (
     InputParameters,
     ParseError,
     RunConfig,
     SweepSpec,
+    ValidationError,
     emit_report,
     grid_analysis,
     parse_records,
@@ -274,7 +276,7 @@ class TestParseJson:
                                     entry.get("date"))
                     for entry in json.loads(text)]
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(daywatch.io, "_CHUNK_SIZE", chunk)
+            patch.setattr(daywatch.json_reader, "_CHUNK_SIZE", chunk)
             assert parsed(text, "json") == expected
 
     def test_a_stream_that_fails_later_still_yields_its_first_record(self):
@@ -308,13 +310,14 @@ class TestParseJson:
         (row, record), = parse_records(Counting(text), "json")
         assert (row, record.date) == (1, date)
         assert len(sizes) <= math.ceil(
-            math.log2(10**6 / daywatch.io._CHUNK_SIZE)) + 2
+            math.log2(10**6 / daywatch.json_reader._CHUNK_SIZE)) + 2
 
-    @pytest.mark.parametrize("chunk", [16, daywatch.io._CHUNK_SIZE],
+    @pytest.mark.parametrize("chunk",
+                             [16, daywatch.json_reader._CHUNK_SIZE],
                              ids=["small-chunks", "one-chunk"])
     def test_a_malformed_element_is_reported_before_the_rest_is_read(
             self, monkeypatch, chunk):
-        monkeypatch.setattr(daywatch.io, "_CHUNK_SIZE", chunk)
+        monkeypatch.setattr(daywatch.json_reader, "_CHUNK_SIZE", chunk)
         good = json.dumps(self.record())
         head = f"[{good}, {good}, " + '{"t6_1": oops}'
         text = head + f", {good}" * 5000 + "]"
@@ -536,6 +539,28 @@ class TestSweep:
                                               for i in range(101)]
         assert entries[0].report.trace["l_p1"] == 1.0
         assert all(e.report is not None for e in entries)
+
+    @pytest.mark.parametrize("field", FIELD_ORDER)
+    def test_each_point_is_the_base_with_the_swept_field_replaced(
+            self, clean, field):
+        # the range starts below 0, so the first points are inadmissible
+        base = clean._replace(date="2026-01-01")
+        spec = SweepSpec(parameter=field, start=-1.0,
+                         stop=2 * getattr(base, field), steps=9)
+        admissible = 0
+        for entry in sweep(base, spec):
+            point = base._replace(**{field: entry.value})
+            if entry.report is None:
+                with pytest.raises(ValidationError) as caught:
+                    validate(point)
+                assert entry.error == str(caught.value)
+                continue
+            admissible += 1
+            assert entry.error is None
+            assert type(entry.report.params) is InputParameters
+            assert entry.report.params == point
+            assert entry.report == run_watch(point)
+        assert admissible >= 5
 
     def test_inadmissible_points_become_error_entries(self, clean):
         spec = SweepSpec(parameter="t6_1", start=0.0, stop=1.0, steps=3)
@@ -813,11 +838,12 @@ class TestCli:
                                 k_c=4, c_0=50, delta=0.035))
                 for date in dates]
 
-    @pytest.mark.parametrize("chunk", [7, daywatch.io._CHUNK_SIZE],
+    @pytest.mark.parametrize("chunk",
+                             [7, daywatch.json_reader._CHUNK_SIZE],
                              ids=["small-chunks", "one-chunk"])
     def test_malformed_json_element_ends_the_run_after_the_ones_before_it(
             self, tmp_path, capsys, monkeypatch, chunk):
-        monkeypatch.setattr(daywatch.io, "_CHUNK_SIZE", chunk)
+        monkeypatch.setattr(daywatch.json_reader, "_CHUNK_SIZE", chunk)
         first, second, fourth = self.dated_json("abd")
         text = (f"[{first},\n{second},\n"
                 '{"date": "c", "t6_1": 6, "t16": abc},\n'

@@ -129,6 +129,10 @@ ADMISSIBLE = {
 }
 
 
+class TupleSubclass(tuple):
+    """A tuple subclass, as a step's result may be."""
+
+
 def undefined_keys(report):
     return {key for key, value in report.trace.items() if value is None}
 
@@ -598,18 +602,24 @@ class TestFaultInjection:
             self, clean, monkeypatch, module, name, stage, quantity,
             undefined):
         real = getattr(module, name)
+        # a tuple result is checked element by element, a tuple subclass's
+        # too: the inf lands in its first element, then in its last
+        for inject in (lambda value: (math.inf,) + value[1:],
+                       lambda value: value[:-1] + (math.inf,),
+                       lambda value: TupleSubclass(value[:-1]
+                                                   + (math.inf,))):
 
-        def non_finite(*args):
-            value = real(*args)
-            if isinstance(value, tuple):
-                return (float("inf"),) + value[1:]
-            return float("inf")
+            def non_finite(*args, inject=inject):
+                value = real(*args)
+                if isinstance(value, tuple):
+                    return inject(value)
+                return math.inf
 
-        monkeypatch.setattr(module, name, non_finite)
-        report = run_watch(clean)
-        assert report.errors == (ErrorRecord(
-            stage, quantity, "NonFiniteResult", "result is not finite"),)
-        assert undefined_keys(report) == undefined
+            monkeypatch.setattr(module, name, non_finite)
+            report = run_watch(clean)
+            assert report.errors == (ErrorRecord(
+                stage, quantity, "NonFiniteResult", "result is not finite"),)
+            assert undefined_keys(report) == undefined
 
     @pytest.mark.parametrize(
         ("module", "name", "stage", "quantity", "undefined"), STEPS)
