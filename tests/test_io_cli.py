@@ -1104,3 +1104,24 @@ class TestCli:
                   "print(callable(getattr(daywatch, 'checks').run_all))")
         assert completed.returncode == 0
         assert completed.stdout == "False False False\nTrue\n"
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("format", ["csv", "json"])
+    def test_only_json_input_loads_the_json_reader(self, tmp_path, command,
+                                                   format):
+        # CSV runs neither import nor compile the JSON reader
+        text = ("date,t6_1,t6_2,t16,t24,k_c,c_0,delta\n"
+                "a,6,6,16,24,4,50,0.035\n" if format == "csv"
+                else self.dated_json("a")[0].join("[]"))
+        path = self.write(tmp_path, f"days.{format}", text)
+        argv = [command, "--input", path, "--format", format]
+        if command == "sweep":
+            argv += ["--param", "delta", "--from", "0", "--to", "1",
+                     "--steps", "2"]
+        completed = run_child(
+            "-c", "import sys, daywatch.cli; "
+                  f"code = daywatch.cli.main({argv!r}); "
+                  "print(code, 'daywatch.json_reader' in sys.modules, "
+                  "file=sys.stderr)")
+        assert completed.returncode == 0
+        assert completed.stderr == f"2 {format == 'json'}\n"
