@@ -26,7 +26,6 @@ from .errors import (
     DegenerateChain,
     ErrorRecord,
     ExponentialOverflow,
-    NegativeDiscriminant,
     NegativeMissRadicand,
     NegativeRadicand,
     NonFiniteResult,
@@ -99,7 +98,6 @@ __all__ = [
     "ErrorRecord",
     "ExponentialOverflow",
     "InputParameters",
-    "NegativeDiscriminant",
     "NegativeMissRadicand",
     "NegativeRadicand",
     "NonFiniteResult",

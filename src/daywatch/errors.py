@@ -90,10 +90,6 @@ class ExponentialOverflow(ComputationError):
     """An exponential exceeded the 64-bit range; reported, never an inf."""
 
 
-class NegativeDiscriminant(ComputationError):
-    """Quadratic discriminant below zero; unreachable for real inputs but guarded."""
-
-
 class RhoBelowTwo(ComputationError):
     """rho < 2 makes sqrt(rho**2 - 4) imaginary; guarded, never a NaN."""
 

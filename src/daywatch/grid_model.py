@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import NegativeDiscriminant, RhoBelowTwo, ZeroTime
+from .errors import RhoBelowTwo, ZeroTime
 
 
 def expected_energy(l_p1: float, l_p2: float) -> float:
@@ -42,10 +42,6 @@ def separability(l_p1: float) -> tuple[float, float]:
     """(rho, discriminant): the quadratic's larger root and discriminant."""
     a = 2.0 + l_p1
     discriminant = a ** 2 - 4 * ((4 - a ** 2) / 2 - 2)
-    # algebraically 3*(2 + l_p1)**2 >= 0; guarded anyway, never a NaN
-    if discriminant < 0:
-        raise NegativeDiscriminant("separability discriminant is negative",
-                                   discriminant)
     rho = (a + math.sqrt(discriminant)) / 2
     return rho, discriminant
 

@@ -102,26 +102,31 @@ def _parse_csv(lines: Iterable[str]) -> Iterator[tuple[int, InputParameters]]:
     # blank lines before the header are skipped, and input without a
     # header row is an empty batch
     rows = csv.reader(itertools.dropwhile(str.isspace, lines))
-    header = tuple(cell.strip() for cell in next(rows, CSV_HEADER))
-    if header != CSV_HEADER:
-        raise ParseError(1, "header must be exactly "
-                            f"{','.join(CSV_HEADER)!r}, got "
-                            f"{','.join(header)!r}")
-    for row_number, row in enumerate(rows, start=1):
-        if not row or len(row) == 1 and row[0].isspace():  # blank line
-            continue
-        if len(row) != len(CSV_HEADER):
-            raise ParseError(row_number,
-                             f"expected {len(CSV_HEADER)} fields, "
-                             f"got {len(row)}")
-        numbers = []
-        for name, text in zip(FIELD_ORDER, map(str.strip, row[1:])):
-            try:
-                numbers.append(float(text))
-            except ValueError:
-                raise ParseError(row_number, f"field {name!r} is not a "
-                                 f"number: {text!r}") from None
-        yield row_number, InputParameters(*numbers, row[0].strip() or None)
+    row_number = 0  # the last row read; the header is row 1, as is the next
+    try:
+        header = tuple(cell.strip() for cell in next(rows, CSV_HEADER))
+        if header != CSV_HEADER:
+            raise ParseError(1, "header must be exactly "
+                                f"{','.join(CSV_HEADER)!r}, got "
+                                f"{','.join(header)!r}")
+        for row_number, row in enumerate(rows, start=1):
+            if not row or len(row) == 1 and row[0].isspace():  # blank line
+                continue
+            if len(row) != len(CSV_HEADER):
+                raise ParseError(row_number,
+                                 f"expected {len(CSV_HEADER)} fields, "
+                                 f"got {len(row)}")
+            numbers = []
+            for name, text in zip(FIELD_ORDER, map(str.strip, row[1:])):
+                try:
+                    numbers.append(float(text))
+                except ValueError:
+                    raise ParseError(row_number, f"field {name!r} is not "
+                                     f"a number: {text!r}") from None
+            yield row_number, InputParameters(*numbers,
+                                              row[0].strip() or None)
+    except csv.Error as exc:  # say, a field past csv.field_size_limit()
+        raise ParseError(row_number + 1, f"not valid CSV: {exc}") from None
 
 
 def parse_records(stream: TextIO, format: str = "csv"

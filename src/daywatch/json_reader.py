@@ -36,29 +36,11 @@ def _json_elements(stream: TextIO) -> Iterator[tuple[int, object]]:
     element being read are held.  A syntax error is reported as soon as
     more input cannot mend it.  A number element cut by a chunk's end
     decodes short: records are objects, so the caller rejects a number
-    element whatever its value.  Input that is not an array is decoded
-    whole, so that json.loads gives its messages.
+    element whatever its value.  Input that is not an array is refused
+    at its first character that is not whitespace.
     """
-    # leading whitespace is kept: it moves the positions those messages give
-    chunks = []
-    while chunk := stream.read(_CHUNK_SIZE):
-        chunks.append(chunk)
-        if _skip_whitespace(chunk).end() < len(chunk):
-            break
-    buffer = "".join(chunks)
-    index = _skip_whitespace(buffer).end()
-    if buffer[index:index + 1] != "[":
-        text = buffer + stream.read()
-        if not text.strip():
-            return
-        try:
-            json.loads(text)
-        except (ValueError, RecursionError) as exc:
-            # ValueError is also raised for an int past the digit limit
-            raise ParseError(0, f"not valid JSON: {exc}") from None
-        raise ParseError(0, "top level must be an array of records")
     # buffer[index] is the input's character number offset + index
-    index, offset, eof = index + 1, 0, False
+    buffer, index, offset, eof = "", 0, 0, False
 
     def refill() -> None:
         # read at least as much as is pending, so that an element n
@@ -81,6 +63,12 @@ def _json_elements(stream: TextIO) -> Iterator[tuple[int, object]]:
         return ParseError(row, f"not valid JSON: {message} "
                                f"(char {offset + at})")
 
+    character = next_character()
+    if character != "[":
+        if character:
+            raise ParseError(0, "top level must be an array of records")
+        return  # whitespace-only input is an empty batch
+    index += 1
     row = 0
     character = next_character()
     while character != "]":

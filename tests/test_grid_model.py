@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from daywatch import (
@@ -58,6 +58,21 @@ class TestSeparability:
         assert rho == pytest.approx(
             a * (1.0 + math.sqrt(3.0)) / 2.0, rel=1e-12
         )
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.floats(allow_nan=False))
+    @example(-2.0)
+    @example(-0.0)
+    @example(5e-324)
+    @example(math.inf)
+    @example(-math.inf)
+    def test_discriminant_is_never_negative(self, l_p1):
+        # (4 - a**2)/2 - 2 rounds to at most 0, so a**2 is never reduced
+        try:
+            _, discriminant = separability(l_p1)
+        except OverflowError:  # a**2 past the double range
+            return
+        assert discriminant >= 0
 
 
 class TestSecondPair:

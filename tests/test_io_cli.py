@@ -163,6 +163,9 @@ class TestParseCsv:
     def test_empty_text_is_an_empty_batch(self, format):
         assert parsed("", format) == []
         assert parsed("   \n  ", format) == []
+        # and so is whitespace that spans several JSON chunks
+        assert parsed(" \t\r\n" * daywatch.json_reader._CHUNK_SIZE,
+                      format) == []
 
     def test_header_only_is_an_empty_batch(self):
         assert parsed(",".join(CSV_HEADER) + "\n") == []
@@ -238,18 +241,29 @@ class TestParseJson:
             parsed(json.dumps([entry]), "json")
         assert "c_0" in str(excinfo.value)
 
-    def test_top_level_must_be_an_array(self):
-        with pytest.raises(ParseError):
-            parsed(json.dumps(self.record()), "json")
+    @pytest.mark.parametrize("text", [
+        json.dumps({"t6_1": 6}), "42", '"x"', "]", "{not json",
+    ], ids=["object", "number", "string", "closing-bracket", "invalid"])
+    def test_top_level_must_be_an_array(self, text):
+        sizes = []
+
+        class Counting(io.StringIO):
+            def read(self, size):
+                sizes.append(size)
+                return super().read(size)
+
+        # refused at its first character: the rest is never read
+        tail = " " * 2 * daywatch.json_reader._CHUNK_SIZE
+        with pytest.raises(ParseError) as caught:
+            list(parse_records(Counting("\n " + text + tail), "json"))
+        assert (caught.value.row, caught.value.detail) \
+            == (0, "top level must be an array of records")
+        assert len(sizes) == 1
 
     def test_records_must_be_objects(self):
         with pytest.raises(ParseError) as excinfo:
             parsed("[42]", "json")
         assert excinfo.value.row == 1
-
-    def test_invalid_json(self):
-        with pytest.raises(ParseError):
-            parsed("{not json", "json")
 
     @settings(max_examples=200, deadline=None)
     @given(entries=st.lists(json_entries, max_size=4),
@@ -741,6 +755,13 @@ class TestCli:
         assert captured.err == ""
         assert json.loads(captured.out)["input"]["date"] == "2026-01-01"
 
+    def test_byte_order_mark_before_an_empty_array_is_an_empty_batch(
+            self, tmp_path, capsys):
+        path = self.write(tmp_path, "bom.json", "\ufeff[]")
+        code = main(["run", "--input", path, "--format", "json"])
+        assert code == 0
+        assert capsys.readouterr() == ("", "")
+
     @pytest.mark.parametrize("command, text, options, code, fragment", [
         ("run", None, ["--tolerance", "-1"], 3, "cannot read"),
         ("run", "not,a,header\n", ["--tolerance", "-1"], 2, "tolerance"),
@@ -831,6 +852,28 @@ class TestCli:
         assert [d["input"]["date"] for d in documents_of(captured.out)] \
             == ["a", "b"]
         assert captured.err.startswith("daywatch: unparseable input: row 3: ")
+
+    @pytest.mark.parametrize("command", [
+        ["run"],
+        ["sweep", "--param", "delta", "--from", "0", "--to", "1",
+         "--steps", "3"],
+    ], ids=["run", "sweep"])
+    def test_a_field_past_the_csv_size_limit_is_unparseable(
+            self, tmp_path, capsys, command):
+        # sweep reads only its base record, so that one carries the field
+        long = "x" * (csv.field_size_limit() + 1)
+        dates = ["a", long] if command[0] == "run" else [long]
+        path = self.write(tmp_path, "long.csv", ",".join(CSV_HEADER) + "\n"
+                          + "".join(f"{date},6,6,16,24,4,50,0.035\n"
+                                    for date in dates + ["b"]))
+        code = main([command[0], "--input", path, *command[1:]])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert [d["input"]["date"] for d in documents_of(captured.out)] \
+            == dates[:-1]
+        assert captured.err.startswith(
+            f"daywatch: unparseable input: row {len(dates)}: "
+            "not valid CSV: field larger than field limit")
 
     def dated_json(self, dates):
         """The JSON text of a baseline record for each date."""

@@ -8,10 +8,11 @@
 Runs `python3 bench/run.py` once per workload and seed, with the run
 length BENCHMARK.json sets, so that every BENCH file is comparable, and
 writes to this checkout's root a JSON file holding the commit (and
-whether src/ differs from it), the src/ line count and, per workload,
-the seeds, each end-to-end metric's per-seed values with their median
-and quartiles, the attempted and failed record counts, and whether every
-run's output was correct.
+whether src/ differs from it), the src/ line count, whether
+PYTHONDONTWRITEBYTECODE is set and how many CPUs the runs may use and,
+per workload, the seeds, each end-to-end metric's per-seed values with
+their median and quartiles, the attempted and failed record counts, and
+whether every run's output was correct.
 With --trace-seed, one `--trace 1` run per workload on that seed adds
 the per-layer metrics.
 
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -83,7 +85,8 @@ def git(root: Path, *args: str) -> str:
 
 
 def checkout(root: Path) -> dict:
-    """The commit of a checkout, whether src/ differs from it, its size."""
+    """The commit of a checkout, whether src/ differs from it, its size,
+    and what its runs inherit that moves setup_s and parallel figures."""
     return {
         "commit": git(root, "rev-parse", "HEAD") or "unknown",
         # measured before committing, src/ differs from that commit
@@ -92,6 +95,9 @@ def checkout(root: Path) -> dict:
         # counted as bench/run.py counts its src.lines metric
         "src_lines": sum(len(path.read_bytes().splitlines())
                          for path in (root / "src").rglob("*.py")),
+        # set, every daywatch start compiles src/ afresh
+        "dont_write_bytecode": bool(os.environ.get("PYTHONDONTWRITEBYTECODE")),
+        "cpus": len(os.sched_getaffinity(0)),
     }
 
 
