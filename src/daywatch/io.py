@@ -102,7 +102,7 @@ def _parse_csv(lines: Iterable[str]) -> Iterator[tuple[int, InputParameters]]:
     # blank lines before the header are skipped, and input without a
     # header row is an empty batch
     rows = csv.reader(itertools.dropwhile(str.isspace, lines))
-    row_number = 0  # the last row read; the header is row 1, as is the next
+    row_number = 0  # rows read after the header; a csv.Error is in the next
     try:
         header = tuple(cell.strip() for cell in next(rows, CSV_HEADER))
         if header != CSV_HEADER:

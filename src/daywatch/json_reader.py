@@ -64,10 +64,10 @@ def _json_elements(stream: TextIO) -> Iterator[tuple[int, object]]:
                                f"(char {offset + at})")
 
     character = next_character()
+    if not character:  # whitespace-only input is an empty batch
+        return
     if character != "[":
-        if character:
-            raise ParseError(0, "top level must be an array of records")
-        return  # whitespace-only input is an empty batch
+        raise ParseError(0, "top level must be an array of records")
     index += 1
     row = 0
     character = next_character()
