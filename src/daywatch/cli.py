@@ -96,21 +96,28 @@ def _add_common_arguments(subparser: argparse.ArgumentParser) -> None:
 
 
 class _Blocks:
-    """Text bound for stdout, written in blocks of a buffer's size, one
-    write each whether or not stdout is buffered (python -u)."""
+    """Text bound for stdout, written a block at a time, one write each
+    whether or not stdout is buffered (python -u).
+
+    The first block goes out as soon as it holds a piece (a report, or
+    a sweep's header and first row), so the first output is not held
+    back; every later block once it reaches a buffer's size.
+    """
 
     def __init__(self):
         self.block = io.StringIO()
+        self.full = 1  # the first piece fills the first block
 
     def write(self, text: str) -> None:
         self.block.write(text)
-        if self.block.tell() >= io.DEFAULT_BUFFER_SIZE:
-            self.send()
+        self.send_if_full()
 
-    def send(self) -> None:
-        """Write the block out and start the next one in its place."""
-        sys.stdout.write(self.block.getvalue())
-        self.block.seek(self.block.truncate(0))
+    def send_if_full(self) -> None:
+        """Write a full block out and start the next one in its place."""
+        if self.block.tell() >= self.full:
+            sys.stdout.write(self.block.getvalue())
+            self.block.seek(self.block.truncate(0))
+            self.full = io.DEFAULT_BUFFER_SIZE
 
     def close(self) -> None:
         sys.stdout.write(self.block.getvalue())
@@ -151,15 +158,13 @@ def _cmd_sweep(args, config, records) -> int:
     # only rows outlive a step, so one report at a time is alive
     out = _Blocks()
     # the writer fills the block itself, with no Python-level write per row
-    block, full = out.block, io.DEFAULT_BUFFER_SIZE
-    writer = csv.writer(block, lineterminator="\n")
+    writer = csv.writer(out.block, lineterminator="\n")
     writer.writerow(SWEEP_COLUMNS)
     degraded = SWEEP_COLUMNS.index("degraded")
     clean = True
     for row in map(sweep_row, sweep(base, spec, config)):
         writer.writerow(row)  # csv writes None as ""
-        if block.tell() >= full:
-            out.send()
+        out.send_if_full()
         clean = clean and not row[degraded]
     out.close()
     return EXIT_OK if clean else EXIT_DEGRADED

@@ -18,9 +18,12 @@ byte-identical text.
 
 One table, _LAYOUT, lists every report section and its keys in order.
 report_as_dict, the JSON report and the text report are all built from
-it.  Both emitters fill a %-template made once at import from the
-layout, with the report's leaf values gathered into one flat tuple.  The
-JSON is byte-identical to json.dumps(report_as_dict(report), indent=2,
+it.  Both emitters fill a %-template made once from the layout, with
+the report's leaf values gathered into one flat tuple.  The text
+template is made at import.  The JSON template, its encoder and the
+json module itself are made on the first JSON report (_json_writer),
+so a sweep or a text report never loads json for its output.  The JSON
+is byte-identical to json.dumps(report_as_dict(report), indent=2,
 allow_nan=False) + "\n": one call of the stdlib's C encoder writes every
 leaf and every error-record field of a report as a flat array with NUL
 as its item separator, and the array is split on NUL into the template's
@@ -40,11 +43,10 @@ included, so a bad range or step count never reaches sweep.
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
-import json
 import operator
-from collections.abc import Iterable, Iterator
-from json.encoder import encode_basestring_ascii as _encode_string
+from collections.abc import Callable, Iterable, Iterator
 from typing import NamedTuple, TextIO
 
 from .config import RunConfig
@@ -99,17 +101,18 @@ _miss_leaves = operator.itemgetter(*_MISS_KEYS)
 
 
 def _parse_csv(lines: Iterable[str]) -> Iterator[tuple[int, InputParameters]]:
-    # blank lines before the header are skipped, and input without a
-    # header row is an empty batch
+    # blank lines are skipped and not counted, and input without a header
+    # row is an empty batch
     rows = csv.reader(itertools.dropwhile(str.isspace, lines))
-    row_number = 0  # rows read after the header; a csv.Error is in the next
+    row_number = 0  # of the row being read: the header, then the Nth record
     try:
         header = tuple(cell.strip() for cell in next(rows, CSV_HEADER))
         if header != CSV_HEADER:
-            raise ParseError(1, "header must be exactly "
+            raise ParseError(0, "header must be exactly "
                                 f"{','.join(CSV_HEADER)!r}, got "
                                 f"{','.join(header)!r}")
-        for row_number, row in enumerate(rows, start=1):
+        row_number = 1
+        for row in rows:
             if not row or len(row) == 1 and row[0].isspace():  # blank line
                 continue
             if len(row) != len(CSV_HEADER):
@@ -125,8 +128,9 @@ def _parse_csv(lines: Iterable[str]) -> Iterator[tuple[int, InputParameters]]:
                                      f"a number: {text!r}") from None
             yield row_number, InputParameters(*numbers,
                                               row[0].strip() or None)
+            row_number += 1
     except csv.Error as exc:  # say, a field past csv.field_size_limit()
-        raise ParseError(row_number + 1, f"not valid CSV: {exc}") from None
+        raise ParseError(row_number, f"not valid CSV: {exc}") from None
 
 
 def parse_records(stream: TextIO, format: str = "csv"
@@ -177,43 +181,50 @@ def report_as_dict(report: WatchReport) -> dict:
             for section, keys in _LAYOUT}
 
 
-def _json_fields(keys: tuple[str, ...], indent: str) -> str:
-    return ",\n".join(f"{indent}{_encode_string(key)}: %s" for key in keys)
-
-
-# json.dumps(report_as_dict(report), indent=2) with every leaf a %s slot
-_JSON_TEMPLATE = "{\n" + ",\n".join(
-    f"  {_encode_string(section)}: {{\n{_json_fields(keys, '    ')}\n  }}"
-    for section, keys in _LAYOUT) + "\n}\n"
-_JSON_ERROR = "      {\n" + _json_fields(_ERROR_KEYS, "        ") + "\n      }"
-
 _TEXT_TEMPLATE = "".join(
     section + "\n" + "".join("%s" if key == "errors" else f"  {key:<18} %s\n"
                              for key in keys)
     for section, keys in _LAYOUT) + "degraded: %s\n"
 
 
-# the stdlib C encoder, writing a flat array with NUL between its items
-_ENCODER = json.JSONEncoder(allow_nan=False, separators=("\x00", ": "))
+@functools.cache
+def _json_writer() -> tuple[str, str, Callable[[list], str]]:
+    """The JSON report's template and error-record template, and the
+    encoder of its leaves, built on the first JSON report."""
+    import json
+    from json.encoder import encode_basestring_ascii as encode_string
+
+    def fields(keys: tuple[str, ...], indent: str) -> str:
+        return ",\n".join(f"{indent}{encode_string(key)}: %s" for key in keys)
+
+    # json.dumps(report_as_dict(report), indent=2) with every leaf a %s slot
+    template = "{\n" + ",\n".join(
+        f"  {encode_string(section)}: {{\n{fields(keys, '    ')}\n  }}"
+        for section, keys in _LAYOUT) + "\n}\n"
+    error = "      {\n" + fields(_ERROR_KEYS, "        ") + "\n      }"
+    # the stdlib C encoder, writing a flat array with NUL between its items
+    encoder = json.JSONEncoder(allow_nan=False, separators=("\x00", ": "))
+    return template, error, encoder.encode
 
 
-def _json_errors(fields: list[str]) -> str:
+def _json_errors(error: str, fields: list[str]) -> str:
     """The errors array from its records' encoded fields, in order."""
     if not fields:
         return "[]"
     width = len(_ERROR_KEYS)
     return "[\n" + ",\n".join(
-        _JSON_ERROR % tuple(fields[start:start + width])
+        error % tuple(fields[start:start + width])
         for start in range(0, len(fields), width)) + "\n    ]"
 
 
 def _emit_json(report: WatchReport) -> str:
-    encoded = _ENCODER.encode(
+    template, error, encode = _json_writer()
+    encoded = encode(
         [*_values(report), *itertools.chain.from_iterable(report.errors)]
     )[1:-1].split("\x00")
     slots, fields = encoded[:_LEAF_COUNT], encoded[_LEAF_COUNT:]
-    slots.insert(_ERRORS_SLOT, _json_errors(fields))
-    return _JSON_TEMPLATE % tuple(slots)
+    slots.insert(_ERRORS_SLOT, _json_errors(error, fields))
+    return template % tuple(slots)
 
 
 def _text_errors(errors: tuple[ErrorRecord, ...]) -> str:

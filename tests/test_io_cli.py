@@ -172,10 +172,35 @@ class TestParseCsv:
         assert parsed(",".join(CSV_HEADER) + "\n   \n") == []
 
     def test_wrong_header(self):
+        # the header is row 0, as the top level of JSON input is, and
+        # blank lines before it change nothing
+        for blank in ("", "\n \n"):
+            with pytest.raises(ParseError) as excinfo:
+                parsed(blank + "t6_1,t6_2\n1,2\n")
+            assert excinfo.value.row == 0
+            assert "header" in str(excinfo.value)
+
+    @pytest.mark.parametrize("before, after, between", [
+        ("\n\n", "", ""), ("", "\n \t\n", ""), ("", "", "\n\n"),
+        ("\n", "\n", "\n\n"),
+    ], ids=["before-header", "after-header", "between-records", "everywhere"])
+    @pytest.mark.parametrize("bad, detail", [
+        ("oops,6,6,16,24,4,50", "expected 8 fields"),
+        ("oops,6,6,16,24,4,50,x", "field 'delta' is not a number"),
+        ("x" * (csv.field_size_limit() + 1) + ",6,6,16,24,4,50,0.035",
+         "not valid CSV"),
+    ], ids=["field-count", "not-a-number", "csv-error"])
+    def test_row_numbers_count_records_alone(self, before, after, between,
+                                             bad, detail):
+        # row N is the Nth record, whatever blank lines lie around it
+        text = (before + ",".join(CSV_HEADER) + "\n" + after
+                + "a,6,6,16,24,4,50,0.035\n" + between + bad + "\n")
+        records = parse_records(io.StringIO(text))
+        assert next(records)[0] == 1
         with pytest.raises(ParseError) as excinfo:
-            parsed("t6_1,t6_2\n1,2\n")
-        assert excinfo.value.row == 1
-        assert "header" in str(excinfo.value)
+            next(records)
+        assert excinfo.value.row == 2
+        assert detail in excinfo.value.detail
 
     def test_wrong_field_count(self):
         text = ",".join(CSV_HEADER) + "\nd,1,2,3\n"
@@ -1030,12 +1055,15 @@ class TestCli:
         assert len(pieces) == points + (name == "sweep")  # sweep's header
         longest = max(map(len, pieces))
         sizes = [len(text) for text in stdout.writes]
-        # each write is whole pieces; every write but the last is one
-        # block, of at least the buffer size
+        # the first write is the first piece, a sweep's header riding with
+        # its first row; each later write is whole pieces, and every one
+        # but the last is one block, of at least the buffer size
+        first = len(pieces[0]) + (name == "sweep") * len(pieces[1])
+        assert sizes[0] == first
         assert set(itertools.accumulate(sizes)) \
             <= set(itertools.accumulate(map(len, pieces)))
-        assert len(sizes) >= 2
-        for size in sizes[:-1]:
+        assert len(sizes) >= 3
+        for size in sizes[1:-1]:
             assert io.DEFAULT_BUFFER_SIZE <= size \
                 < io.DEFAULT_BUFFER_SIZE + longest
         assert 0 < sizes[-1] < io.DEFAULT_BUFFER_SIZE + longest
@@ -1168,3 +1196,34 @@ class TestCli:
                   "file=sys.stderr)")
         assert completed.returncode == 0
         assert completed.stderr == f"2 {format == 'json'}\n"
+
+    @pytest.mark.parametrize("command, output", [
+        ("run", "json"), ("run", "text"), ("sweep", None),
+    ], ids=["run-json", "run-text", "sweep"])
+    @pytest.mark.parametrize("format", ["csv", "json"])
+    def test_only_json_input_or_output_loads_json(self, tmp_path, command,
+                                                  output, format):
+        # the JSON writer is built on the first JSON report, so a sweep or
+        # a text report of CSV input never imports json
+        text = ("date,t6_1,t6_2,t16,t24,k_c,c_0,delta\n"
+                "a,6,6,16,24,4,50,0.035\n" if format == "csv"
+                else self.dated_json("a")[0].join("[]"))
+        path = self.write(tmp_path, f"days.{format}", text)
+        argv = [command, "--input", path, "--format", format]
+        if command == "sweep":
+            argv += ["--param", "delta", "--from", "0", "--to", "1",
+                     "--steps", "2"]
+        else:
+            argv += ["--output", output]
+        completed = run_child(
+            "-c", "import sys; preloaded = 'json' in sys.modules; "
+                  "import daywatch.cli; "
+                  f"code = daywatch.cli.main({argv!r}); "
+                  "print(code, preloaded, 'json' in sys.modules, "
+                  "file=sys.stderr)")
+        assert completed.returncode == 0
+        code, preloaded, loaded = completed.stderr.split()
+        if preloaded == "True":
+            pytest.skip("json was loaded before daywatch, by site")
+        assert (code, loaded) \
+            == ("2", str("json" in (format, output)))

@@ -9,7 +9,8 @@ Runs `python3 bench/run.py` once per workload and seed, with the run
 length BENCHMARK.json sets, so that every BENCH file is comparable, and
 writes to this checkout's root a JSON file holding the commit (and
 whether src/ differs from it), the src/ line count, whether
-PYTHONDONTWRITEBYTECODE is set and how many CPUs the runs may use and,
+PYTHONDONTWRITEBYTECODE is set, whether src/ held byte code before the
+runs and how many CPUs the runs may use and,
 per workload, the seeds, each end-to-end metric's per-seed values with
 their median and quartiles, the attempted and failed record counts, and
 whether every run's output was correct.
@@ -86,7 +87,8 @@ def git(root: Path, *args: str) -> str:
 
 def checkout(root: Path) -> dict:
     """The commit of a checkout, whether src/ differs from it, its size,
-    and what its runs inherit that moves setup_s and parallel figures."""
+    and what its runs inherit that moves setup_s and parallel figures.
+    Taken before the runs, which may write byte code into src/."""
     return {
         "commit": git(root, "rev-parse", "HEAD") or "unknown",
         # measured before committing, src/ differs from that commit
@@ -97,12 +99,16 @@ def checkout(root: Path) -> dict:
                          for path in (root / "src").rglob("*.py")),
         # set, every daywatch start compiles src/ afresh
         "dont_write_bytecode": bool(os.environ.get("PYTHONDONTWRITEBYTECODE")),
+        # held, daywatch starts without compiling src/, so a working tree's
+        # setup_s reads lower than a fresh clone's
+        "src_bytecode": any((root / "src").rglob("__pycache__/*.pyc")),
         "cpus": len(os.sched_getaffinity(0)),
     }
 
 
 def single(spec: dict, seeds: list[int], trace_seed: int | None) -> dict:
     """The figures of this checkout, per workload."""
+    figures = checkout(ROOT)
     seconds, workloads = spec["run_seconds"], {}
     for workload in (w["name"] for w in spec["workloads"]):
         runs = []
@@ -115,7 +121,7 @@ def single(spec: dict, seeds: list[int], trace_seed: int | None) -> dict:
         if trace_seed is not None:
             workloads[workload]["per_layer"] = per_layer(
                 ROOT, workload, trace_seed, seconds)
-    return {**checkout(ROOT), "seconds": seconds, "workloads": workloads}
+    return {**figures, "seconds": seconds, "workloads": workloads}
 
 
 def paired(spec: dict, seeds: list[int], trace_seed: int | None,
