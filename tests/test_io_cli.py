@@ -1176,11 +1176,8 @@ class TestCli:
         assert completed.returncode == 0
         assert completed.stdout == "False False False\nTrue\n"
 
-    @pytest.mark.parametrize("command", ["run", "sweep"])
-    @pytest.mark.parametrize("format", ["csv", "json"])
-    def test_only_json_input_loads_the_json_reader(self, tmp_path, command,
-                                                   format):
-        # CSV runs neither import nor compile the JSON reader
+    def one_day_argv(self, tmp_path, command, format):
+        """The arguments of a run or a two-point sweep of one record."""
         text = ("date,t6_1,t6_2,t16,t24,k_c,c_0,delta\n"
                 "a,6,6,16,24,4,50,0.035\n" if format == "csv"
                 else self.dated_json("a")[0].join("[]"))
@@ -1189,6 +1186,14 @@ class TestCli:
         if command == "sweep":
             argv += ["--param", "delta", "--from", "0", "--to", "1",
                      "--steps", "2"]
+        return argv
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("format", ["csv", "json"])
+    def test_only_json_input_loads_the_json_reader(self, tmp_path, command,
+                                                   format):
+        # CSV runs neither import nor compile the JSON reader
+        argv = self.one_day_argv(tmp_path, command, format)
         completed = run_child(
             "-c", "import sys, daywatch.cli; "
                   f"code = daywatch.cli.main({argv!r}); "
@@ -1205,15 +1210,8 @@ class TestCli:
                                                   output, format):
         # the JSON writer is built on the first JSON report, so a sweep or
         # a text report of CSV input never imports json
-        text = ("date,t6_1,t6_2,t16,t24,k_c,c_0,delta\n"
-                "a,6,6,16,24,4,50,0.035\n" if format == "csv"
-                else self.dated_json("a")[0].join("[]"))
-        path = self.write(tmp_path, f"days.{format}", text)
-        argv = [command, "--input", path, "--format", format]
-        if command == "sweep":
-            argv += ["--param", "delta", "--from", "0", "--to", "1",
-                     "--steps", "2"]
-        else:
+        argv = self.one_day_argv(tmp_path, command, format)
+        if output is not None:
             argv += ["--output", output]
         completed = run_child(
             "-c", "import sys; preloaded = 'json' in sys.modules; "
@@ -1225,5 +1223,4 @@ class TestCli:
         code, preloaded, loaded = completed.stderr.split()
         if preloaded == "True":
             pytest.skip("json was loaded before daywatch, by site")
-        assert (code, loaded) \
-            == ("2", str("json" in (format, output)))
+        assert (code, loaded) == ("2", str("json" in (format, output)))
