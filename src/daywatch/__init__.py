@@ -33,15 +33,12 @@ from .errors import (
     NonPositivePermanent,
     NonPositivePotential,
     ParseError,
-    RhoBelowTwo,
     ValidationError,
     Violation,
     ZeroImpulse,
-    ZeroLp1,
     ZeroMiddle,
     ZeroP3,
     ZeroPotential,
-    ZeroTime,
 )
 from .grid_analysis import (
     QUENCH_CONSTANT,
@@ -108,7 +105,6 @@ __all__ = [
     "ParseError",
     "QUENCH_CONSTANT",
     "ReportFlags",
-    "RhoBelowTwo",
     "RunConfig",
     "ScaledTimes",
     "StateClassification",
@@ -119,11 +115,9 @@ __all__ = [
     "Violation",
     "WatchReport",
     "ZeroImpulse",
-    "ZeroLp1",
     "ZeroMiddle",
     "ZeroP3",
     "ZeroPotential",
-    "ZeroTime",
     "build_matrix",
     "classify_grid",
     "classify_market",

@@ -84,23 +84,28 @@ def load_golden() -> dict:
     return json.loads(resource.read_text(encoding="utf-8"))
 
 
-def check_permanent(count: int = 1000, seed: int = 20260818) -> CheckResult:
-    """The permanent vs. the exact 24-term expansion on random matrices.
+def exact_permanent(matrix) -> Fraction:
+    """per(A) of a 4x4 float matrix by the full 24-term expansion, exactly.
 
     Each float entry is n/d with d a power of two, so over the largest d
     the expansion is a sum of integer products: exact, and fast.
     """
+    ratios = [[x.as_integer_ratio() for x in row] for row in matrix]
+    unit = max(d for row in ratios for _, d in row)
+    numerators = [[n * (unit // d) for n, d in row] for row in ratios]
+    return Fraction(sum(
+        math.prod(numerators[i][j] for i, j in enumerate(perm))
+        for perm in itertools.permutations(range(4))), unit ** 4)
+
+
+def check_permanent(count: int = 1000, seed: int = 20260818) -> CheckResult:
+    """The permanent vs. the exact 24-term expansion on random matrices."""
     rng = random.Random(seed)
     worst = 0.0
     for _ in range(count):
         matrix = tuple(tuple(rng.uniform(0.0, 3.0) for _ in range(4))
                        for _ in range(4))
-        ratios = [[x.as_integer_ratio() for x in row] for row in matrix]
-        unit = max(d for row in ratios for _, d in row)
-        numerators = [[n * (unit // d) for n, d in row] for row in ratios]
-        exact = Fraction(sum(
-            math.prod(numerators[i][j] for i, j in enumerate(perm))
-            for perm in itertools.permutations(range(4))), unit ** 4)
+        exact = exact_permanent(matrix)
         gap = abs(Fraction(lyapunov.permanent(matrix)) - exact)
         worst = max(worst, float(gap / exact))
     passed = worst <= PERMANENT_RELATIVE_TOLERANCE

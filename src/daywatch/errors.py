@@ -90,18 +90,6 @@ class ExponentialOverflow(ComputationError):
     """An exponential exceeded the 64-bit range; reported, never an inf."""
 
 
-class RhoBelowTwo(ComputationError):
-    """rho < 2 makes sqrt(rho**2 - 4) imaginary; guarded, never a NaN."""
-
-
-class ZeroTime(ComputationError):
-    """A characteristic time vanished where a division needs it."""
-
-
-class ZeroLp1(ComputationError):
-    """l_p1 = 0 where a division needs it."""
-
-
 class ZeroImpulse(ComputationError):
     """v1 = 0 makes 1/(4 v1) singular."""
 

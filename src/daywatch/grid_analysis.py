@@ -53,9 +53,7 @@ from .errors import (
     NonPositiveGap,
     NonPositivePotential,
     ZeroImpulse,
-    ZeroLp1,
     ZeroPotential,
-    ZeroTime,
 )
 
 # Named constant of the quenched-disorder exponent denominator.
@@ -120,11 +118,11 @@ def energy_potential(l_p1: float, l_y1: float,
     w1 = (3/l_p1) ln(((l_p1 + t1)**2 + 1/16)/((l_p1 - t1)**2 + 1/16))
     u_s = l_y1**2 v1 + w1
 
-    Both denominators are at least 1/16, so only l_p1 = 0 is singular
-    and w1 is finite for every finite input.
+    Both denominators are at least 1/16, so l_p1 = 0 is the only pole,
+    and no admissible record reaches it: l_p1 = delta + 1 >= 1.  Large
+    inputs still leave the float range (a square past ~1.3e154 raises
+    OverflowError), which the pipeline reports as NonFiniteResult.
     """
-    if l_p1 == 0:
-        raise ZeroLp1("l_p1 is zero")
     plus = (l_p1 + t1) ** 2 + REGULARIZER
     minus = (l_p1 - t1) ** 2 + REGULARIZER
     v1 = (l_p1 + t1) / (l_p1 * plus) + (l_p1 - t1) / (l_p1 * minus)
@@ -146,8 +144,6 @@ def frequency_from_auxiliary(p_x: float, v1: float, t1: float) -> float:
     """
     if v1 == 0:
         raise ZeroImpulse("v1 is zero")
-    if t1 == 0:
-        raise ZeroTime("t1 is zero")
     return -(0.5 + 1 / (4 * v1)) * (1 + p_x * v1 / t1) * math.exp(v1 * t1)
 
 
@@ -188,8 +184,6 @@ def hyperbolic_distance(e1: float, e2: float, omega1: float, omega2: float,
 
 def critical_distance(v1: float, l_p1: float) -> float:
     """r_c = exp(-v1 l_p1)/(10 l_p1)."""
-    if l_p1 == 0:
-        raise ZeroLp1("l_p1 is zero")
     return math.exp(-v1 * l_p1) / (10 * l_p1)
 
 

@@ -5,23 +5,8 @@ fractions.Fraction values and evaluates without rounding, so an error
 measured against these belongs to the float code alone.
 """
 
-import itertools
 import math
 from fractions import Fraction
-
-
-def permanent(matrix) -> Fraction:
-    """per(A) of a 4x4 matrix by the full 24-term permutation expansion.
-
-    Each float entry is n/d with d a power of two, so over the largest d
-    the expansion is a sum of integer products.
-    """
-    ratios = [[x.as_integer_ratio() for x in row] for row in matrix]
-    unit = max(d for row in ratios for _, d in row)
-    numerators = [[n * (unit // d) for n, d in row] for row in ratios]
-    total = sum(math.prod(numerators[i][j] for i, j in enumerate(perm))
-                for perm in itertools.permutations(range(4)))
-    return Fraction(total, unit ** 4)
 
 
 def polynomial(coefficients, x: float) -> Fraction:

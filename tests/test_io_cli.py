@@ -504,7 +504,7 @@ class TestByteIdentity:
         assert all(isinstance(record.value, float)
                    for record in report.errors)
         edited = report._replace(errors=(
-            ErrorRecord("grid-analysis", "r_c", "ZeroLp1", "l_p1 is zero"),
+            ErrorRecord("grid-analysis", "u_p", "ZeroImpulse", "v1 is zero"),
             *report.errors,
             ErrorRecord("watch", "p_miss_raw", "NegativeMissRadicand",
                         ESCAPED_DATE, -2.5e-300)))

@@ -652,6 +652,17 @@ class TestFaultInjection:
             "r_h", "p_g", *CHAIN, *MISS}
         emit_report(report)
 
+    def test_division_by_zero_is_contained(self, clean, monkeypatch):
+        real = grid_model.second_pair
+        monkeypatch.setattr(grid_model, "second_pair",
+                            lambda rho: (real(rho)[0], 0.0))
+        report = run_watch(clean)
+        assert report.errors == (ErrorRecord(
+            "grid-model", "omega2", "NonFiniteResult",
+            "evaluation left the float range"),)
+        assert report.trace["t2"] == 0.0
+        assert report.trace["omega2"] is None
+
     def test_non_finite_result_is_contained(self, clean, monkeypatch):
         monkeypatch.setattr(
             grid_analysis, "hyperbolic_distance",
