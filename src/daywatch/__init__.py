@@ -19,7 +19,6 @@ sweep does not pay for them.
 
 import importlib
 
-from .config import RunConfig
 from .errors import (
     ComputationError,
     DaywatchError,
@@ -70,6 +69,7 @@ from .io import (
 from .lyapunov import build_matrix, permanent
 from .watch import (
     ReportFlags,
+    RunConfig,
     WatchReport,
     false_alarm,
     fourth_probability,
@@ -77,6 +77,12 @@ from .watch import (
     miss_probability,
     run_watch,
 )
+
+# the public names are the ones imported above, so a new import is
+# public without a second list to keep in step with it
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_")
+                 and not isinstance(value, type(importlib)))
 
 __version__ = "1.0.0"
 
@@ -86,62 +92,3 @@ def __getattr__(name: str):
     if name == "checks":
         return importlib.import_module(".checks", __name__)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-__all__ = [
-    "ComputationError",
-    "DaywatchError",
-    "DegenerateChain",
-    "ErrorRecord",
-    "ExponentialOverflow",
-    "InputParameters",
-    "NegativeMissRadicand",
-    "NegativeRadicand",
-    "NonFiniteResult",
-    "NonPositiveGap",
-    "NonPositivePermanent",
-    "NonPositivePotential",
-    "OperatingState",
-    "ParseError",
-    "QUENCH_CONSTANT",
-    "ReportFlags",
-    "RunConfig",
-    "ScaledTimes",
-    "StateClassification",
-    "SweepEntry",
-    "SweepSpec",
-    "ThreatLevel",
-    "ValidationError",
-    "Violation",
-    "WatchReport",
-    "ZeroImpulse",
-    "ZeroMiddle",
-    "ZeroP3",
-    "ZeroPotential",
-    "build_matrix",
-    "classify_grid",
-    "classify_market",
-    "critical_distance",
-    "elliptic_distance",
-    "emit_report",
-    "energy_potential",
-    "false_alarm",
-    "fourth_probability",
-    "half_chain",
-    "hyperbolic_distance",
-    "miss_probability",
-    "parse_records",
-    "permanent",
-    "quenched_probability",
-    "report_as_dict",
-    "run_watch",
-    "scale_times",
-    "second_pair",
-    "separability",
-    "star_reliability",
-    "sweep",
-    "threat_level",
-    "trade_volume",
-    "triangle_reliability",
-    "validate",
-]

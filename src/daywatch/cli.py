@@ -28,7 +28,6 @@ import io
 import os
 import sys
 
-from .config import RunConfig
 from .errors import ParseError, ValidationError
 from .grid_analysis import DEFAULT_TOLERANCE, DEFAULT_UP_LOG_MODE, UP_LOG_MODES
 from .inputs import FIELD_ORDER
@@ -42,7 +41,7 @@ from .io import (
     sweep,
     sweep_row,
 )
-from .watch import run_watch
+from .watch import RunConfig, run_watch
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1

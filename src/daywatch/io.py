@@ -49,11 +49,10 @@ import operator
 from collections.abc import Callable, Iterable, Iterator
 from typing import NamedTuple, TextIO
 
-from .config import RunConfig
 from .errors import ErrorRecord, ParseError, ValidationError
 from .grid_analysis import StateClassification
 from .inputs import FIELD_ORDER, InputParameters
-from .watch import ReportFlags, WatchReport, run_watch
+from .watch import ReportFlags, RunConfig, WatchReport, run_watch
 
 CSV_HEADER = ("date",) + FIELD_ORDER
 

@@ -5,6 +5,9 @@ run_watch drives the whole computation for one input record:
     inputs -> Lyapunov exponents -> grid model -> potentials,
     distances, reliabilities -> states -> watch probabilities
 
+RunConfig holds what every record of a run shares: the grid-state
+comparison tolerance and the quenched probability's logarithm mode.
+
 run_watch is one step per quantity, in pipeline order.  A step runs
 once all its arguments exist and is skipped, leaving None, when any of
 them is None.  A domain failure produces a structured ErrorRecord and a
@@ -31,7 +34,6 @@ from collections.abc import Callable
 from typing import NamedTuple
 
 from . import grid_analysis, grid_model, inputs, lyapunov
-from .config import RunConfig
 from .errors import (
     ComputationError,
     DegenerateChain,
@@ -41,7 +43,12 @@ from .errors import (
     ZeroMiddle,
     ZeroP3,
 )
-from .grid_analysis import StateClassification
+from .grid_analysis import (
+    DEFAULT_TOLERANCE,
+    DEFAULT_UP_LOG_MODE,
+    UP_LOG_MODES,
+    StateClassification,
+)
 from .inputs import InputParameters
 
 # Droop value at which the fourth chain probability equals the third.
@@ -182,6 +189,43 @@ def _step(errors: list[ErrorRecord], stage: str, quantity: str,
 def _defined(function: Callable[..., object], *args):
     """function(*args) for a step that cannot fail, None if an argument is."""
     return None if None in args else function(*args)
+
+
+# RunConfig is a named tuple, not a dataclass: importing dataclasses
+# would load inspect, ast and dis on every start of the command line.
+class _RunConfigFields(NamedTuple):
+    equality_tolerance: float = DEFAULT_TOLERANCE
+    up_log_mode: str = DEFAULT_UP_LOG_MODE
+
+
+class RunConfig(_RunConfigFields):
+    """Configuration shared by every record of a run.
+
+    equality_tolerance  relative tolerance of the grid-state comparisons
+    up_log_mode         handling of non-positive potentials in the
+                        quenched probability: strict reports an error,
+                        absolute takes logarithms of magnitudes
+
+    Its fields are checked however it is made: positionally, by keyword,
+    by _make or by _replace.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        if not self.equality_tolerance > 0:
+            raise ValueError("equality_tolerance must be positive, got "
+                             f"{self.equality_tolerance!r}")
+        if self.up_log_mode not in UP_LOG_MODES:
+            raise ValueError(f"up_log_mode must be one of {UP_LOG_MODES}, "
+                             f"got {self.up_log_mode!r}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # the inherited _make, which _replace calls, skips __new__
+        return cls(*iterable)
 
 
 def run_watch(params: InputParameters,

@@ -1,6 +1,7 @@
 """Parsing, serialization, sweeps, and the command-line surface."""
 
 import csv
+import importlib
 import io
 import itertools
 import json
@@ -9,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+import types
 import weakref
 from importlib import resources
 from pathlib import Path
@@ -1224,3 +1226,17 @@ class TestCli:
         if preloaded == "True":
             pytest.skip("json was loaded before daywatch, by site")
         assert (code, loaded) == ("2", str("json" in (format, output)))
+
+
+def test_public_surface_is_what_the_package_imports():
+    # __all__ is derived from the names __init__ imports, not listed twice
+    names = daywatch.__all__
+    assert names == sorted(names) and len(names) == 55
+    assert not any(isinstance(getattr(daywatch, name), types.ModuleType)
+                   for name in names)
+    namespace = {}
+    exec("from daywatch import *", namespace)
+    assert sorted(namespace.keys() - {"__builtins__"}) == names
+    assert daywatch.RunConfig.__module__ == "daywatch.watch"
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("daywatch.config")

@@ -445,7 +445,7 @@ class TestRunWatchMisc:
         lambda clean: CheckResult("golden", True, ""),
     ], ids=["RunConfig", "WatchReport", "Violation", "SweepSpec",
             "SweepEntry", "CheckResult"])
-    def test_dataclasses_are_frozen(self, clean, make):
+    def test_named_tuples_reject_assignment(self, clean, make):
         value = make(clean)
         first = value._fields[0]
         before = getattr(value, first)

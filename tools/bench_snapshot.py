@@ -23,7 +23,8 @@ from seed to seed: the first run of a pair tends to read faster, and
 where a checkout lies can move its figures too, so the two should be
 fresh clones in sibling directories.  Each side gets the figures above,
 and each end-to-end metric the number of seeds on which the change did
-better than the parent.
+better than the parent and two verdicts (see verdicts): whether the
+change showed a gain, and whether it stayed within the metric's bound.
 """
 
 from __future__ import annotations
@@ -72,6 +73,29 @@ def results(runs: list[dict], metrics: list[dict]) -> dict:
                 [run["metrics"][metric["name"]]["value"] for run in runs])}
             for metric in metrics},
     }
+
+
+def verdicts(entry: dict, metrics: list[dict]) -> dict:
+    """gain_shown and within_bound of each end-to-end metric of a pairing.
+
+    A gain is shown when the change wins at least 9 pairs in 10 and its
+    median beats the parent's by more than the parent's q3 - q1.  The
+    change is within bound when its median is worse than the parent's by
+    at most the metric's BENCHMARK.json bound times the parent's median.
+    """
+    result = {}
+    for metric in metrics:
+        name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
+        parent = entry["parent"]["end_to_end"][name]
+        change = entry["change"]["end_to_end"][name]
+        gain = sign * (change["median"] - parent["median"])
+        result[name] = {
+            "gain_shown": (10 * entry["change_wins"][name]
+                           >= 9 * len(entry["seeds"])
+                           and gain > parent["q3"] - parent["q1"]),
+            "within_bound": -gain <= metric["bound"] * parent["median"],
+        }
+    return result
 
 
 def per_layer(root: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -152,6 +176,7 @@ def paired(spec: dict, seeds: list[int], trace_seed: int | None,
                 * (1 if metric["better"] == "higher" else -1) > 0
                 for parent, change in zip(runs["parent"], runs["change"]))
             for metric in spec["end_to_end"]}
+        entry["verdicts"] = verdicts(entry, spec["end_to_end"])
         if trace_seed is not None:
             entry["per_layer"] = {side: per_layer(roots[side], workload,
                                                   trace_seed, seconds)
