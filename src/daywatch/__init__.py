@@ -78,8 +78,8 @@ from .watch import (
     run_watch,
 )
 
-# the public names are the ones imported above, so a new import is
-# public without a second list to keep in step with it
+# the public names are written once, above: every name imported but the
+# modules (importlib and the submodules that each import binds)
 __all__ = sorted(name for name, value in globals().items()
                  if not name.startswith("_")
                  and not isinstance(value, type(importlib)))
