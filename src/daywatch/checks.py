@@ -35,13 +35,6 @@ class CheckResult(NamedTuple):
     detail: str
 
 
-def numbers_match(actual: float, expected: float,
-                  rel: float = GOLDEN_RELATIVE_TOLERANCE) -> bool:
-    if actual == expected:
-        return True
-    return abs(actual - expected) <= rel * max(abs(actual), abs(expected))
-
-
 def payload_mismatches(actual, expected, rel: float = GOLDEN_RELATIVE_TOLERANCE,
                        path: str = "") -> list[str]:
     """Recursive comparison of two report payloads; [] means equal."""
@@ -70,7 +63,7 @@ def payload_mismatches(actual, expected, rel: float = GOLDEN_RELATIVE_TOLERANCE,
     if isinstance(expected, (int, float)) and not isinstance(expected, bool) \
             and isinstance(actual, (int, float)) \
             and not isinstance(actual, bool):
-        if numbers_match(float(actual), float(expected), rel):
+        if math.isclose(actual, expected, rel_tol=rel):
             return []
         return [f"{path}: {actual!r} != {expected!r} (rel {rel})"]
     if actual != expected:

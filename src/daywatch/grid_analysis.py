@@ -30,7 +30,8 @@ and for all (sqrt(pi) and the two half-integer values cancel), so no
 gamma evaluation happens at run time.
 
 The classifiers at the bottom turn the numbers into operating states
-and a threat level.  Their comparison structure is deliberate:
+and a threat level.  Both classifiers share one state rule (two alarms:
+emergency, one: restorative, none: normal); their alarms are deliberate:
 
   * the market classifier uses strict inequalities against r_c, so a
     distance exactly equal to r_c does not count as exceeding it;
@@ -187,20 +188,18 @@ def critical_distance(v1: float, l_p1: float) -> float:
     return math.exp(-v1 * l_p1) / (10 * l_p1)
 
 
-def classify_market(r_e: float, r_h: float, r_c: float) -> OperatingState:
-    """Market state from the two kernel distances against the critical one.
-
-    Strict inequalities: a distance exactly at r_c does not exceed it.
-    Precedence emergency > restorative > normal resolves the overlap of
-    the two alarm conditions.
-    """
-    elliptic_exceeds = r_e > r_c
-    hyperbolic_exceeds = r_h > r_c
-    if elliptic_exceeds and hyperbolic_exceeds:
+def _state(first_alarm: bool, second_alarm: bool) -> OperatingState:
+    """Both alarms: emergency; one: restorative; neither: normal."""
+    if first_alarm and second_alarm:
         return OperatingState.EMERGENCY
-    if elliptic_exceeds or hyperbolic_exceeds:
+    if first_alarm or second_alarm:
         return OperatingState.RESTORATIVE
     return OperatingState.NORMAL
+
+
+def classify_market(r_e: float, r_h: float, r_c: float) -> OperatingState:
+    """Market state: each kernel distance strictly past r_c is one alarm."""
+    return _state(r_e > r_c, r_h > r_c)
 
 
 def _horner(coefficients: tuple[float, ...], x: float) -> float:
@@ -272,20 +271,12 @@ def classify_grid(p_s: float, p_t: float, p_g: float,
                   tolerance: float = DEFAULT_TOLERANCE) -> OperatingState:
     """Grid state from the reliability probabilities.
 
-    Proximity of the topology reliabilities to the critical probability
-    is the alarming condition: both close means emergency, one close
-    means restorative, neither means normal.  Closeness is relative,
+    Each reliability close to p_g is one alarm, closeness being relative:
     |x - p_g| <= tolerance * max(1, |p_g|).
     """
-    if tolerance <= 0:
+    if not tolerance > 0:  # RunConfig's rule: NaN is refused too
         raise ValueError("tolerance must be positive")
-    star_matches = _close(p_s, p_g, tolerance)
-    triangle_matches = _close(p_t, p_g, tolerance)
-    if star_matches and triangle_matches:
-        return OperatingState.EMERGENCY
-    if star_matches or triangle_matches:
-        return OperatingState.RESTORATIVE
-    return OperatingState.NORMAL
+    return _state(_close(p_s, p_g, tolerance), _close(p_t, p_g, tolerance))
 
 
 # (market, grid) -> (threat, paper_gap_flag).  The two flagged rows have

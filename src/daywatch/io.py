@@ -272,6 +272,8 @@ class SweepSpec(_SweepSpecFields):
         if not self.start < self.stop:
             raise ValueError("start must be below stop, got "
                              f"[{self.start!r}, {self.stop!r}]")
+        if not isinstance(self.steps, int):
+            raise ValueError(f"steps must be an integer, got {self.steps!r}")
         if self.steps < 2:
             raise ValueError(f"steps must be at least 2, got {self.steps!r}")
         return self

@@ -10,7 +10,6 @@ imports it for JSON input alone.
 from __future__ import annotations
 
 import json
-import math
 from collections.abc import Iterator
 from typing import TextIO
 
@@ -131,7 +130,7 @@ def parse_json(stream: TextIO) -> Iterator[tuple[int, InputParameters]]:
                                                  f"a number: {value!r}")
                 try:
                     value = float(value)
-                except OverflowError:  # an int past the double range
-                    value = math.inf if value > 0 else -math.inf
+                except OverflowError:
+                    pass  # past the double range: validate reports it
             numbers.append(value)
         yield row_number, InputParameters(*numbers, date)

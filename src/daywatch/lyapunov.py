@@ -79,19 +79,20 @@ def permanent_exponent(perm_a: float) -> float:
     return math.log(perm_a) ** 2 / 10 + 1.0
 
 
+def _exp(name: str, value: float, divisor: int) -> float:
+    """exp(value / divisor); past the float range, ExponentialOverflow."""
+    try:
+        return math.exp(value / divisor)
+    except OverflowError:
+        raise ExponentialOverflow(f"exp({name} / {divisor}) exceeds the "
+                                  "float range", value) from None
+
+
 def price_exponent(c_0: float) -> float:
     """l_y1 = exp(c_0 / 25)."""
-    try:
-        return math.exp(c_0 / 25)
-    except OverflowError:
-        raise ExponentialOverflow(
-            "exp(c_0 / 25) exceeds the float range", c_0) from None
+    return _exp("c_0", c_0, 25)
 
 
 def droop_exponent(k_c: float) -> float:
     """l_y2 = exp(k_c / 10) + 1."""
-    try:
-        return math.exp(k_c / 10) + 1.0
-    except OverflowError:
-        raise ExponentialOverflow(
-            "exp(k_c / 10) exceeds the float range", k_c) from None
+    return _exp("k_c", k_c, 10) + 1.0

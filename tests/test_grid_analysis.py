@@ -20,7 +20,11 @@ from daywatch import (
 from daywatch.grid_analysis import (
     REGULARIZER,
     STAR_COEFFS,
+    STAR_ROOT_ORDER,
+    STAR_Y_COEFFS,
     TRIANGLE_COEFFS,
+    TRIANGLE_ROOT_ORDER,
+    TRIANGLE_Y_COEFFS,
     auxiliary_potential,
     classify_grid,
     classify_market,
@@ -246,6 +250,25 @@ class TestReliabilityPolynomials:
         assert star_reliability(v1) == pytest.approx(
             3.4992698829759e-20, rel=1e-12, abs=0)
 
+    @pytest.mark.parametrize(
+        ("coefficients", "root_order", "y_coefficients"),
+        [(STAR_COEFFS, STAR_ROOT_ORDER, STAR_Y_COEFFS),
+         (TRIANGLE_COEFFS, TRIANGLE_ROOT_ORDER, TRIANGLE_Y_COEFFS)],
+        ids=["star", "triangle"],
+    )
+    def test_y_coefficients_are_the_monomials_in_one_minus_v1(
+            self, coefficients, root_order, y_coefficients):
+        # p(1 - y) = sum_k a_k (1 - y)**k has the y**j coefficient
+        # (-1)**j sum_k a_k C(k, j); in integers it must be exactly
+        # y**root_order times the y-polynomial
+        assert all(c == int(c) for c in coefficients + y_coefficients)
+        monomial = [int(c) for c in reversed(coefficients)]
+        in_y = [(-1) ** j * sum(a * math.comb(k, j)
+                                for k, a in enumerate(monomial))
+                for j in range(len(monomial))]
+        assert in_y == [0] * root_order + [
+            int(c) for c in reversed(y_coefficients)]
+
     def test_leading_terms(self):
         assert STAR_COEFFS[0] == -120.0
         assert len(STAR_COEFFS) == 16
@@ -340,7 +363,7 @@ class TestGridClassifier:
         # max(1, |p_g|) keeps tiny references from demanding exact equality
         assert classify_grid(1e-7, 0.9, 0.0) is OperatingState.RESTORATIVE
 
-    @pytest.mark.parametrize("bad", [0.0, -1.0])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
     def test_non_positive_tolerance_is_rejected(self, bad):
         with pytest.raises(ValueError):
             classify_grid(1.0, 1.0, 1.0, tolerance=bad)

@@ -35,6 +35,7 @@ from daywatch import (
     sweep,
     validate,
 )
+from daywatch.checks import payload_mismatches
 from daywatch.cli import main
 from daywatch.errors import ErrorRecord
 from daywatch.grid_analysis import UP_LOG_MODES
@@ -1150,6 +1151,16 @@ class TestCli:
         out = capsys.readouterr().out
         assert code == 1
         assert "FAIL  polynomial-endpoints" in out
+
+    def test_golden_comparison_never_matches_an_infinity_to_a_number(self):
+        # numbers compare by math.isclose: inf is close to inf alone, and
+        # nan to nothing
+        for actual, expected in ((math.inf, 1.0), (1.0, math.inf),
+                                 (-math.inf, math.inf),
+                                 (math.nan, math.nan)):
+            assert payload_mismatches({"a": actual}, {"a": expected}) == [
+                f".a: {actual!r} != {expected!r} (rel 1e-09)"]
+        assert payload_mismatches({"a": math.inf}, {"a": math.inf}) == []
 
     def test_module_entry_point(self):
         completed = run_child("-m", "daywatch", "check")

@@ -469,6 +469,8 @@ class TestRunWatchMisc:
         (SweepSpec, "start", 1.0),  # start == stop
         (SweepSpec, "start", 2.0),
         (SweepSpec, "steps", 1),
+        (SweepSpec, "steps", 2.5),
+        (SweepSpec, "steps", 3.0),
         (SweepSpec, "parameter", "bogus"),
     ], ids=lambda value: getattr(value, "__name__", str(value)))
     def test_checks_hold_on_every_construction_path(self, path, cls, field,
