@@ -9,9 +9,9 @@ domain preconditions failed.
 
     from daywatch import InputParameters, run_watch
 
-    report = run_watch(InputParameters(t6_1=6, t6_2=6, t16=16, t24=24,
-                                       k_c=4, c_0=50, delta=0.035))
-    print(report.states.threat_level, report.degraded)
+    report = run_watch(InputParameters(t6_1=5.7, t6_2=5.7, t16=15.2,
+                                       t24=22.8, k_c=1, c_0=38, delta=1))
+    print(report.states.threat_level, report.degraded)  # low True
 
 The built-in self-checks, daywatch.checks, load on first use: a run or a
 sweep does not pay for them.

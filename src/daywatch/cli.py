@@ -130,7 +130,7 @@ def _cmd_run(args, config, records) -> int:
             try:
                 report = run_watch(record, config)
             except ValidationError as exc:
-                print(f"daywatch: inadmissible record: {exc.with_row(row)}",
+                print(f"daywatch: inadmissible record: row {row}: {exc}",
                       file=sys.stderr)
                 any_degraded = True
                 continue

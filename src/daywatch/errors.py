@@ -33,14 +33,9 @@ class Violation(NamedTuple):
 class ValidationError(DaywatchError):
     """Input record violates its invariants; lists every violated field."""
 
-    def __init__(self, violations, row=None):
+    def __init__(self, violations):
         self.violations = tuple(violations)
-        self.row = row
-        where = f"row {row}: " if row is not None else ""
-        super().__init__(where + "; ".join(v.describe() for v in self.violations))
-
-    def with_row(self, row: int) -> "ValidationError":
-        return ValidationError(self.violations, row=row)
+        super().__init__("; ".join(v.describe() for v in self.violations))
 
     @property
     def fields(self):

@@ -30,8 +30,9 @@ and for all (sqrt(pi) and the two half-integer values cancel), so no
 gamma evaluation happens at run time.
 
 The classifiers at the bottom turn the numbers into operating states
-and a threat level.  Both classifiers share one state rule (two alarms:
-emergency, one: restorative, none: normal); their alarms are deliberate:
+and a threat level, str enums that print as their values.  Both share
+one state rule (two alarms: emergency, one: restorative, none: normal),
+and their alarms are deliberate:
 
   * the market classifier uses strict inequalities against r_c, so a
     distance exactly equal to r_c does not count as exceeding it;
@@ -95,6 +96,8 @@ class OperatingState(str, Enum):
     RESTORATIVE = "restorative"
     EMERGENCY = "emergency"
 
+    __str__ = str.__str__  # prints, formats and writes as its value
+
 
 class ThreatLevel(str, Enum):
     LOW = "low"
@@ -102,6 +105,8 @@ class ThreatLevel(str, Enum):
     ELEVATED = "elevated"
     HIGH = "high"
     SEVERE = "severe"
+
+    __str__ = str.__str__
 
 
 class StateClassification(NamedTuple):
@@ -276,6 +281,8 @@ def classify_grid(p_s: float, p_t: float, p_g: float,
     """
     if not tolerance > 0:  # RunConfig's rule: NaN is refused too
         raise ValueError("tolerance must be positive")
+    if not all(map(math.isfinite, (p_s, p_t, p_g))):
+        raise ValueError("p_s, p_t and p_g must be finite")
     return _state(_close(p_s, p_g, tolerance), _close(p_t, p_g, tolerance))
 
 

@@ -19,8 +19,8 @@ byte-identical text.
 One table, _LAYOUT, lists every report section and its keys in order.
 report_as_dict, the JSON report and the text report are all built from
 it.  Both emitters fill a %-template made once from the layout, with
-the report's leaf values gathered into one flat tuple.  The text
-template is made at import.  The JSON template, its encoder and the
+the report's leaf values, each state as it is, in one flat tuple.  The
+text template is made at import.  The JSON template, its encoder and the
 json module itself are made on the first JSON report (_json_writer),
 so a sweep or a text report never loads json for its output.  The JSON
 is byte-identical to json.dumps(report_as_dict(report), indent=2,
@@ -45,6 +45,7 @@ from __future__ import annotations
 import csv
 import functools
 import itertools
+import math
 import operator
 from collections.abc import Callable, Iterable, Iterator
 from typing import NamedTuple, TextIO
@@ -152,20 +153,12 @@ def parse_records(stream: TextIO, format: str = "csv"
     return parse_json(stream)
 
 
-def _state_values(states: StateClassification) -> tuple[str | None, ...]:
-    """The _STATE_KEYS states' string values, None where undefined."""
-    market, grid, threat = states
-    return (None if market is None else market.value,
-            None if grid is None else grid.value,
-            None if threat is None else threat.value)
-
-
 def _values(report: WatchReport) -> tuple:
     """The report's leaf values in _LAYOUT order, without the errors."""
     # the inputs come from the record, not from their copies in the trace
     params, trace = report.params, report.trace
     return (params.date, *params[:len(FIELD_ORDER)], *_block_leaves(trace),
-            *_state_values(report.states), report.trade_volume_pct,
+            *report.states, report.trade_volume_pct,
             *_chain_leaves(trace), report.p_false_alarm_raw,
             report.p_false_alarm, *_miss_leaves(trace), report.p_miss_raw,
             report.p_miss, *report.flags)
@@ -269,8 +262,8 @@ class SweepSpec(_SweepSpecFields):
         if self.parameter not in FIELD_ORDER:
             raise ValueError(f"parameter must be one of {FIELD_ORDER}, "
                              f"got {self.parameter!r}")
-        if not self.start < self.stop:
-            raise ValueError("start must be below stop, got "
+        if not 0 < self.stop - self.start < math.inf:
+            raise ValueError("stop - start must be finite and positive, got "
                              f"[{self.start!r}, {self.stop!r}]")
         if not isinstance(self.steps, int):
             raise ValueError(f"steps must be an integer, got {self.steps!r}")
@@ -333,7 +326,7 @@ def sweep_row(entry: SweepEntry) -> tuple:
         return (entry.value, None, None, None, None, None, None, True,
                 entry.error)
     return (entry.value, report.trade_volume_pct,
-            *_state_values(report.states), report.p_false_alarm,
+            *report.states, report.p_false_alarm,
             report.p_miss, report.degraded,
             "; ".join(f"{r.error}({r.stage}/{r.quantity})"
                       for r in report.errors) or None)

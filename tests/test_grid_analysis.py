@@ -1,5 +1,7 @@
 """Potentials, distances, reliability polynomials, and the classifiers."""
 
+import csv
+import io
 import math
 
 import exact
@@ -367,6 +369,23 @@ class TestGridClassifier:
     def test_non_positive_tolerance_is_rejected(self, bad):
         with pytest.raises(ValueError):
             classify_grid(1.0, 1.0, 1.0, tolerance=bad)
+
+    @pytest.mark.parametrize("probabilities", [
+        (0.5, 0.2, math.inf), (math.inf, 0.2, 0.5), (0.5, 0.2, math.nan),
+    ], ids=str)
+    def test_non_finite_probability_is_rejected(self, probabilities):
+        # every finite value is within tolerance * inf of an infinity
+        with pytest.raises(ValueError, match="finite"):
+            classify_grid(*probabilities)
+
+
+@pytest.mark.parametrize("state", [*OperatingState, *ThreatLevel],
+                         ids=lambda state: state.value)
+def test_a_state_prints_as_its_value(state):
+    row = io.StringIO()
+    csv.writer(row, lineterminator="\n").writerow([state])
+    assert (str(state), f"{state}", row.getvalue()) \
+        == (state.value, state.value, state.value + "\n")
 
 
 class TestThreatTable:

@@ -174,13 +174,6 @@ class TestValidate:
             validate(make(t24=LONG_DAY_HOURS))
         assert caplog.messages == []
 
-    def test_with_row_attaches_row_number(self):
-        with pytest.raises(ValidationError) as excinfo:
-            validate(make(t6_1=0.0))
-        tagged = excinfo.value.with_row(3)
-        assert tagged.row == 3
-        assert "row 3" in str(tagged)
-
 
 class TestScaling:
     def test_baseline_scaling(self, baseline):

@@ -541,6 +541,9 @@ class TestSweep:
              "parameter"),
             (dict(parameter="delta", start=1.0, stop=1.0, steps=3), "start"),
             (dict(parameter="delta", start=2.0, stop=1.0, steps=3), "start"),
+            # finite bounds whose width overflows
+            (dict(parameter="delta", start=-1e308, stop=1e308, steps=3),
+             "start"),
             (dict(parameter="delta", start=0.0, stop=1.0, steps=1), "steps"),
         ],
     )
@@ -796,7 +799,11 @@ class TestCli:
         ("sweep", ",".join(CSV_HEADER) + "\n",
          ["--param", "delta", "--from", "0", "--to", "1", "--steps", "1"],
          2, "steps"),
-    ], ids=["run-missing-file", "run-bad-header", "sweep-header-only"])
+        ("sweep", ",".join(CSV_HEADER) + "\nd,6,6,16,24,4,50,0.035\n",
+         ["--param", "delta", "--from", "0", "--to", "inf", "--steps", "3"],
+         2, "[0.0, inf]"),
+    ], ids=["run-missing-file", "run-bad-header", "sweep-header-only",
+            "sweep-infinite-range"])
     def test_exit_code_order_of_config_errors(self, tmp_path, capsys,
                                               command, text, options, code,
                                               fragment):

@@ -468,6 +468,8 @@ class TestRunWatchMisc:
         (RunConfig, "up_log_mode", "loose"),
         (SweepSpec, "start", 1.0),  # start == stop
         (SweepSpec, "start", 2.0),
+        (SweepSpec, "stop", math.inf),
+        (SweepSpec, "start", -math.inf),
         (SweepSpec, "steps", 1),
         (SweepSpec, "steps", 2.5),
         (SweepSpec, "steps", 3.0),
