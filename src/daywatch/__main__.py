@@ -1,11 +1,8 @@
 """python -m daywatch delegates to the CLI."""
 
-import gc
 import sys
 
 from .cli import main
 
 if __name__ == "__main__":
-    status = main()
-    gc.freeze()  # output is flushed; the exit-time collection skips it all
-    sys.exit(status)
+    sys.exit(main())

@@ -165,7 +165,7 @@ def _values(report: WatchReport) -> tuple:
 
 
 def report_as_dict(report: WatchReport) -> dict:
-    """The report as nested primitives, in serialization order."""
+    """Nested dicts in serialization order; states are str-enum members."""
     values = iter(_values(report))
     errors = [record._asdict() for record in report.errors]
     return {section: {key: errors if key == "errors" else next(values)
@@ -262,13 +262,16 @@ class SweepSpec(_SweepSpecFields):
         if self.parameter not in FIELD_ORDER:
             raise ValueError(f"parameter must be one of {FIELD_ORDER}, "
                              f"got {self.parameter!r}")
-        if not 0 < self.stop - self.start < math.inf:
-            raise ValueError("stop - start must be finite and positive, got "
-                             f"[{self.start!r}, {self.stop!r}]")
         if not isinstance(self.steps, int):
             raise ValueError(f"steps must be an integer, got {self.steps!r}")
         if self.steps < 2:
             raise ValueError(f"steps must be at least 2, got {self.steps!r}")
+        # value_at's largest product is (steps - 2) * (stop - start)
+        if not (self.start < self.stop
+                and (self.steps - 2) * (self.stop - self.start) < math.inf):
+            raise ValueError("start must be below stop and (steps - 2) * (stop"
+                             f" - start) finite, got [{self.start!r}, "
+                             f"{self.stop!r}]")
         return self
 
     @classmethod

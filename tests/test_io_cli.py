@@ -544,6 +544,9 @@ class TestSweep:
             # finite bounds whose width overflows
             (dict(parameter="delta", start=-1e308, stop=1e308, steps=3),
              "start"),
+            # a finite width whose product with an inner index overflows
+            (dict(parameter="delta", start=0.0, stop=1e308, steps=4),
+             "start"),
             (dict(parameter="delta", start=0.0, stop=1.0, steps=1), "steps"),
         ],
     )
