@@ -204,6 +204,8 @@ def _state(first_alarm: bool, second_alarm: bool) -> OperatingState:
 
 def classify_market(r_e: float, r_h: float, r_c: float) -> OperatingState:
     """Market state: each kernel distance strictly past r_c is one alarm."""
+    if not all(map(math.isfinite, (r_e, r_h, r_c))):  # NaN raises no alarm
+        raise ValueError("r_e, r_h and r_c must be finite")
     return _state(r_e > r_c, r_h > r_c)
 
 

@@ -16,13 +16,17 @@ round-trip decimals, and undefined quantities as null next to a flag or
 error record saying why.  Serializing the same report twice yields
 byte-identical text.
 
-One table, _LAYOUT, lists every report section and its keys in order.
-report_as_dict, the JSON report and the text report are all built from
-it.  Both emitters fill a %-template made once from the layout, with
-the report's leaf values, each state as it is, in one flat tuple.  The
-text template is made at import.  The JSON template, its encoder and the
-json module itself are made on the first JSON report (_json_writer),
-so a sweep or a text report never loads json for its output.  The JSON
+One table, _LAYOUT, lists every report section and its keys in order,
+each key once.  report_as_dict, the JSON report and the text report are
+all built from it, and so are the getters with which _values takes the
+inputs from report.params, the computed quantities from report.trace by
+name and the rest from the report, and puts them in layout order with
+one permutation made at import.  Both emitters fill a %-template made
+once from the layout with the report's leaf values, each state as it
+is, in one flat tuple.  The text template is made at import.  The JSON
+template, its encoder and the json module itself are made on the first
+JSON report (_json_writer), so a sweep or a text report never loads json
+for its output.  The JSON
 is byte-identical to json.dumps(report_as_dict(report), indent=2,
 allow_nan=False) + "\n": one call of the stdlib's C encoder writes every
 leaf and every error-record field of a report as a flat array with NUL
@@ -60,44 +64,36 @@ CSV_HEADER = ("date",) + FIELD_ORDER
 INPUT_FORMATS = ("csv", "json")
 OUTPUT_FORMATS = ("json", "text")
 
-# Trace keys of each report block, in serialization order.
-_EXPONENT_KEYS = ("t6_1_s", "t6_2_s", "t16_s", "t24_s", "perm_a",
-                  "l_p1", "l_p2", "l_y1", "l_y2")
-_MODEL_KEYS = ("rho", "discriminant", "e1", "e2", "omega1", "omega2",
-               "t1", "t2")
-_POTENTIAL_KEYS = ("v1", "w1", "u_s", "p_x", "u_p")
-_DISTANCE_KEYS = ("r_e", "r_h", "r_c")
-_PROBABILITY_KEYS = ("p_s", "p_t", "p_g")
-_CHAIN_KEYS = ("r_small", "r_mid", "r_big")
-_MISS_KEYS = ("p1", "p2", "p3", "p4")
-# Attributes of the report's states, and of each of its error records.
-_STATE_KEYS = StateClassification._fields
-_ERROR_KEYS = ErrorRecord._fields
-
 # Every section of a report and its keys, in serialization order.  Each
 # key is one scalar leaf, except "errors", which holds the error records.
 _LAYOUT = (
     ("input", ("date",) + FIELD_ORDER),
-    ("exponents", _EXPONENT_KEYS),
-    ("grid_model", _MODEL_KEYS),
-    ("potentials", _POTENTIAL_KEYS),
-    ("distances", _DISTANCE_KEYS),
-    ("probabilities", _PROBABILITY_KEYS),
-    ("states", _STATE_KEYS),
-    ("watch", ("trade_volume_pct",) + _CHAIN_KEYS
-     + ("p_false_alarm_raw", "p_false_alarm") + _MISS_KEYS
-     + ("p_miss_raw", "p_miss", "errors")),
+    ("exponents", ("t6_1_s", "t6_2_s", "t16_s", "t24_s", "perm_a", "l_p1",
+                   "l_p2", "l_y1", "l_y2")),
+    ("grid_model", ("rho", "discriminant", "e1", "e2", "omega1", "omega2",
+                    "t1", "t2")),
+    ("potentials", ("v1", "w1", "u_s", "p_x", "u_p")),
+    ("distances", ("r_e", "r_h", "r_c")),
+    ("probabilities", ("p_s", "p_t", "p_g")),
+    ("states", StateClassification._fields),
+    ("watch", ("trade_volume_pct", "r_small", "r_mid", "r_big",
+               "p_false_alarm_raw", "p_false_alarm", "p1", "p2", "p3", "p4",
+               "p_miss_raw", "p_miss", "errors")),
     ("flags", ReportFlags._fields),
 )
 _SLOTS = tuple(key for _, keys in _LAYOUT for key in keys)
 _ERRORS_SLOT = _SLOTS.index("errors")
-_LEAF_COUNT = len(_SLOTS) - 1
-# The trace leaves of the report, in three runs between the other leaves.
-_block_leaves = operator.itemgetter(
-    *_EXPONENT_KEYS, *_MODEL_KEYS, *_POTENTIAL_KEYS, *_DISTANCE_KEYS,
-    *_PROBABILITY_KEYS)
-_chain_leaves = operator.itemgetter(*_CHAIN_KEYS)
-_miss_leaves = operator.itemgetter(*_MISS_KEYS)
+_LEAVES = _SLOTS[:_ERRORS_SLOT] + _SLOTS[_ERRORS_SLOT + 1:]
+# _values gathers the leaves of the record, the states, the flags, the
+# report's own scalars and the trace, in that order, and then permutes them.
+_SCALARS = tuple(key for key in _LEAVES if key in WatchReport._fields)
+_OWNED = (InputParameters._fields + StateClassification._fields
+          + ReportFlags._fields + _SCALARS)
+_TRACED = tuple(key for key in _LEAVES if key not in _OWNED)
+_scalar_leaves = operator.itemgetter(*map(WatchReport._fields.index, _SCALARS))
+_trace_leaves = operator.itemgetter(*_TRACED)
+_in_layout_order = operator.itemgetter(*map((_OWNED + _TRACED).index,
+                                            _LEAVES))
 
 
 def _parse_csv(lines: Iterable[str]) -> Iterator[tuple[int, InputParameters]]:
@@ -155,13 +151,9 @@ def parse_records(stream: TextIO, format: str = "csv"
 
 def _values(report: WatchReport) -> tuple:
     """The report's leaf values in _LAYOUT order, without the errors."""
-    # the inputs come from the record, not from their copies in the trace
-    params, trace = report.params, report.trace
-    return (params.date, *params[:len(FIELD_ORDER)], *_block_leaves(trace),
-            *report.states, report.trade_volume_pct,
-            *_chain_leaves(trace), report.p_false_alarm_raw,
-            report.p_false_alarm, *_miss_leaves(trace), report.p_miss_raw,
-            report.p_miss, *report.flags)
+    return _in_layout_order((*report.params, *report.states, *report.flags,
+                             *_scalar_leaves(report),
+                             *_trace_leaves(report.trace)))
 
 
 def report_as_dict(report: WatchReport) -> dict:
@@ -193,7 +185,7 @@ def _json_writer() -> tuple[str, str, Callable[[list], str]]:
     template = "{\n" + ",\n".join(
         f"  {encode_string(section)}: {{\n{fields(keys, '    ')}\n  }}"
         for section, keys in _LAYOUT) + "\n}\n"
-    error = "      {\n" + fields(_ERROR_KEYS, "        ") + "\n      }"
+    error = "      {\n" + fields(ErrorRecord._fields, "        ") + "\n      }"
     # the stdlib C encoder, writing a flat array with NUL between its items
     encoder = json.JSONEncoder(allow_nan=False, separators=("\x00", ": "))
     return template, error, encoder.encode
@@ -203,7 +195,7 @@ def _json_errors(error: str, fields: list[str]) -> str:
     """The errors array from its records' encoded fields, in order."""
     if not fields:
         return "[]"
-    width = len(_ERROR_KEYS)
+    width = len(ErrorRecord._fields)
     return "[\n" + ",\n".join(
         error % tuple(fields[start:start + width])
         for start in range(0, len(fields), width)) + "\n    ]"
@@ -214,7 +206,7 @@ def _emit_json(report: WatchReport) -> str:
     encoded = encode(
         [*_values(report), *itertools.chain.from_iterable(report.errors)]
     )[1:-1].split("\x00")
-    slots, fields = encoded[:_LEAF_COUNT], encoded[_LEAF_COUNT:]
+    slots, fields = encoded[:len(_LEAVES)], encoded[len(_LEAVES):]
     slots.insert(_ERRORS_SLOT, _json_errors(error, fields))
     return template % tuple(slots)
 
@@ -266,9 +258,13 @@ class SweepSpec(_SweepSpecFields):
             raise ValueError(f"steps must be an integer, got {self.steps!r}")
         if self.steps < 2:
             raise ValueError(f"steps must be at least 2, got {self.steps!r}")
-        # value_at's largest product is (steps - 2) * (stop - start)
-        if not (self.start < self.stop
-                and (self.steps - 2) * (self.stop - self.start) < math.inf):
+        # value_at's largest product is (steps - 2) * (stop - start); an int
+        # steps past the double range cannot enter it at all
+        try:
+            finite = (self.steps - 2) * (self.stop - self.start) < math.inf
+        except OverflowError:
+            finite = False
+        if not (self.start < self.stop and finite):
             raise ValueError("start must be below stop and (steps - 2) * (stop"
                              f" - start) finite, got [{self.start!r}, "
                              f"{self.stop!r}]")
@@ -318,8 +314,8 @@ def sweep(base: InputParameters, spec: SweepSpec,
 
 
 # The columns of a sweep row, one per value sweep_row returns.
-SWEEP_COLUMNS = ("value", "trade_volume_pct") + _STATE_KEYS + (
-    "p_false_alarm", "p_miss", "degraded", "error")
+SWEEP_COLUMNS = ("value", "trade_volume_pct", *StateClassification._fields,
+                 "p_false_alarm", "p_miss", "degraded", "error")
 
 
 def sweep_row(entry: SweepEntry) -> tuple:

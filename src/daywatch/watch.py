@@ -309,10 +309,8 @@ def run_watch(params: InputParameters,
         errors, "watch", "p_miss_raw", miss_probability,
         p1, p2, p3, p4, v_m) or (None, None, False)
 
+    # every computed quantity in report order; the inputs stay in params
     trace = {
-        "t6_1": params.t6_1, "t6_2": params.t6_2, "t16": params.t16,
-        "t24": params.t24, "k_c": params.k_c, "c_0": params.c_0,
-        "delta": params.delta,
         "t6_1_s": scaled.t6_1_s, "t6_2_s": scaled.t6_2_s,
         "t16_s": scaled.t16_s, "t24_s": scaled.t24_s,
         "perm_a": perm_a,

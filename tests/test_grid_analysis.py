@@ -215,6 +215,15 @@ class TestMarketClassifier:
         rescaled = classify_market(r_e * scale, r_h * scale, r_c * scale)
         assert rescaled is original
 
+    @pytest.mark.parametrize("distances", [
+        (math.nan, math.nan, math.nan), (1.0, 2.0, math.nan),
+        (math.inf, math.inf, math.inf),
+    ], ids=str)
+    def test_non_finite_distance_is_rejected(self, distances):
+        # no comparison with NaN is true, so these read as normal
+        with pytest.raises(ValueError, match="finite"):
+            classify_market(*distances)
+
 
 class TestReliabilityPolynomials:
     @pytest.mark.parametrize("poly", [star_reliability, triangle_reliability])

@@ -40,7 +40,13 @@ from daywatch.cli import main
 from daywatch.errors import ErrorRecord
 from daywatch.grid_analysis import UP_LOG_MODES
 from daywatch.inputs import FIELD_ORDER
-from daywatch.io import CSV_HEADER, SWEEP_COLUMNS, report_as_dict, sweep_row
+from daywatch.io import (
+    _LAYOUT,
+    CSV_HEADER,
+    SWEEP_COLUMNS,
+    report_as_dict,
+    sweep_row,
+)
 
 BLOCKS = ("input", "exponents", "grid_model", "potentials", "distances",
           "probabilities", "states", "watch", "flags")
@@ -431,6 +437,18 @@ class TestSerialization:
             for mode in ("strict", "absolute"):
                 validator.validate(payload_of(record, up_log_mode=mode))
 
+    def test_schema_lists_the_layout_s_keys_in_order(self):
+        # the corpus validation above checks key sets, not their order
+        schema = json.loads(
+            resources.files("daywatch").joinpath("data", "report_schema.json")
+            .read_text(encoding="utf-8")
+        )
+        assert schema["required"] == [section for section, _ in _LAYOUT]
+        for section, keys in _LAYOUT:
+            block = schema["properties"][section]
+            assert (block["required"], list(block["properties"])) \
+                == (list(keys), list(keys))
+
     def test_emitted_json_is_strictly_finite(self, records_csv):
         for record in parsed(records_csv):
             text = emit_report(run_watch(record))
@@ -548,6 +566,9 @@ class TestSweep:
             (dict(parameter="delta", start=0.0, stop=1e308, steps=4),
              "start"),
             (dict(parameter="delta", start=0.0, stop=1.0, steps=1), "steps"),
+            # an int steps that no float can hold
+            (dict(parameter="delta", start=0.0, stop=1.0, steps=10**400),
+             "start"),
         ],
     )
     def test_spec_validation(self, kwargs, fragment):
@@ -805,8 +826,11 @@ class TestCli:
         ("sweep", ",".join(CSV_HEADER) + "\nd,6,6,16,24,4,50,0.035\n",
          ["--param", "delta", "--from", "0", "--to", "inf", "--steps", "3"],
          2, "[0.0, inf]"),
+        ("sweep", ",".join(CSV_HEADER) + "\nd,6,6,16,24,4,50,0.035\n",
+         ["--param", "delta", "--from", "0", "--to", "1", "--steps",
+          str(10**400)], 2, "daywatch: start must be below stop"),
     ], ids=["run-missing-file", "run-bad-header", "sweep-header-only",
-            "sweep-infinite-range"])
+            "sweep-infinite-range", "sweep-steps-past-double-range"])
     def test_exit_code_order_of_config_errors(self, tmp_path, capsys,
                                               command, text, options, code,
                                               fragment):

@@ -31,7 +31,7 @@ from daywatch import (
     watch,
 )
 from daywatch.checks import CheckResult
-from daywatch.io import SweepEntry, SweepSpec
+from daywatch.io import _TRACED, SweepEntry, SweepSpec
 from daywatch.watch import (
     ReportFlags,
     false_alarm,
@@ -41,7 +41,6 @@ from daywatch.watch import (
 )
 
 TRACE_KEYS = (
-    "t6_1", "t6_2", "t16", "t24", "k_c", "c_0", "delta",
     "t6_1_s", "t6_2_s", "t16_s", "t24_s",
     "perm_a",
     "l_p1", "l_p2", "l_y1", "l_y2",
@@ -388,6 +387,14 @@ class TestRunWatchClean:
 
 
 class TestRunWatchMisc:
+    @pytest.mark.parametrize("record", ["clean", "baseline"])
+    def test_trace_holds_the_layout_s_computed_quantities(self, record,
+                                                          request):
+        # the report table's keys that no other part of the report holds,
+        # in report order; the baseline fails two of them
+        report = run_watch(request.getfixturevalue(record))
+        assert tuple(report.trace) == _TRACED
+
     def test_invalid_input_raises_instead_of_reporting(self):
         bad = InputParameters(
             t6_1=-1.0, t6_2=6.0, t16=16.0, t24=24.0,
