@@ -391,7 +391,7 @@ class TestRunWatchMisc:
     def test_trace_holds_the_layout_s_computed_quantities(self, record,
                                                           request):
         # the report table's keys that no other part of the report holds,
-        # in report order; the baseline fails two of them
+        # in report order, defined or not
         report = run_watch(request.getfixturevalue(record))
         assert tuple(report.trace) == _TRACED
 
