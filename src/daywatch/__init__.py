@@ -22,7 +22,6 @@ import importlib
 from .errors import (
     ComputationError,
     DaywatchError,
-    DegenerateChain,
     ErrorRecord,
     ExponentialOverflow,
     NegativeMissRadicand,
@@ -35,7 +34,6 @@ from .errors import (
     ValidationError,
     Violation,
     ZeroImpulse,
-    ZeroMiddle,
     ZeroP3,
     ZeroPotential,
 )

@@ -8,6 +8,12 @@ byte-deterministic.  Where it went wrong is not the formula's to say:
 the pipeline step that called it (watch._step) knows the stage and the
 quantity it was computing, and builds the report's ErrorRecord from
 those plus the error's kind, detail and value.
+
+Each ComputationError kind below earns its place: an admissible record
+reaches it through run_watch, unpatched, and tests/test_error_kinds.py
+pins one such witness per kind.  A division by an exact zero that has
+no kind of its own raises ZeroDivisionError, which watch._step reports
+as NonFiniteResult at the step where it happened.
 """
 
 from __future__ import annotations
@@ -90,7 +96,7 @@ class ZeroImpulse(ComputationError):
 
 
 class ZeroPotential(ComputationError):
-    """u_s = 0 (or its square underflowed) where a division needs it."""
+    """u_s = 0 where a division needs it."""
 
 
 class NonPositiveGap(ComputationError):
@@ -103,14 +109,6 @@ class NegativeRadicand(ComputationError):
 
 class NonPositivePotential(ComputationError):
     """u_s <= 0 or u_p <= 0 where a logarithm needs it (strict mode)."""
-
-
-class DegenerateChain(ComputationError):
-    """All three distances equal; the false-alarm denominator vanishes."""
-
-
-class ZeroMiddle(ComputationError):
-    """Middle distance of the chain is zero."""
 
 
 class ZeroP3(ComputationError):

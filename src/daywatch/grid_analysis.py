@@ -160,15 +160,13 @@ def trade_volume(u_s: float) -> float:
 
     Approaches 100 from below as |u_s| grows; strongly negative for
     small |u_s|.  The raw value is reported either way and the
-    valid_percentage flag marks whether it landed inside [0, 100].
+    valid_percentage flag marks whether it landed inside [0, 100].  A
+    nonzero |u_s| below ~1e-161 squares to 0 and divides by zero:
+    ZeroDivisionError, which run_watch reports as NonFiniteResult.
     """
     if u_s == 0:
         raise ZeroPotential("u_s is zero")
-    denominator = 4 * (u_s / (2 * math.pi)) ** 2
-    # |u_s| below ~1e-161 squares to subnormal zero
-    if denominator == 0:
-        raise ZeroPotential("u_s squared underflows to zero", u_s)
-    return 100 - 9 * math.pi ** 2 / denominator
+    return 100 - 9 * math.pi ** 2 / (4 * (u_s / (2 * math.pi)) ** 2)
 
 
 def elliptic_distance(u_s: float, u_p: float) -> float:

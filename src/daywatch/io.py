@@ -263,7 +263,8 @@ class SweepSpec(_SweepSpecFields):
         try:
             finite = (self.steps - 2) * (self.stop - self.start) < math.inf
         except OverflowError:
-            finite = False
+            raise ValueError("steps must fit in a float, got a "
+                             f"{self.steps.bit_length()}-bit int") from None
         if not (self.start < self.stop and finite):
             raise ValueError("start must be below stop and (steps - 2) * (stop"
                              f" - start) finite, got [{self.start!r}, "

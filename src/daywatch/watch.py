@@ -36,11 +36,9 @@ from typing import NamedTuple
 from . import grid_analysis, grid_model, inputs, lyapunov
 from .errors import (
     ComputationError,
-    DegenerateChain,
     ErrorRecord,
     NegativeMissRadicand,
     NonFiniteResult,
-    ZeroMiddle,
     ZeroP3,
 )
 from .grid_analysis import (
@@ -106,12 +104,12 @@ def false_alarm(r_small: float, r_mid: float,
 
     Takes the three distances sorted ascending.  Raw value per the
     defining formula; see the module docstring for why it is
-    non-positive for distinct distances.
+    non-positive for distinct distances.  Three equal distances or a
+    zero r_mid divide by zero: ZeroDivisionError, which run_watch
+    reports as NonFiniteResult.  In run_watch r_mid is never zero, as
+    r_e and r_c are positive, and no record is known to give three
+    equal distances.
     """
-    if r_small == r_big:
-        raise DegenerateChain("all three distances are equal")
-    if r_mid == 0:
-        raise ZeroMiddle("middle distance is zero")
     raw = ((2.0 / 3.0)
            * (r_small / (r_small - r_big))
            * ((r_mid - r_big) / r_mid) ** 2)

@@ -269,12 +269,10 @@ def evaluate(record, up_log_mode="strict", tolerance=1e-6):
     p_f_raw = p_f = None
     if None not in (r_e, r_h, r_c):
         r_small, r_mid, r_big = sorted([r_e, r_h, r_c])
-        if r_small == r_big:
-            fail("watch", "p_false_alarm_raw", "DegenerateChain",
-                 "all three distances are equal")
-        elif r_mid == 0:
-            fail("watch", "p_false_alarm_raw", "ZeroMiddle",
-                 "middle distance is zero")
+        if r_small == r_big or r_mid == 0:
+            # a division by zero, which daywatch reports as such
+            fail("watch", "p_false_alarm_raw", "NonFiniteResult",
+                 "evaluation left the float range")
         else:
             p_f_raw = (mpf(2) / 3) * (r_small / (r_small - r_big)) \
                 * ((r_mid - r_big) / r_mid) ** 2

@@ -213,7 +213,7 @@ def test_criterion_8_error_path_integrity(clean, monkeypatch):
     """Each declared failure is contained, named, and emits finite JSON."""
     remaining = {
         "ZeroImpulse", "NonPositiveGap", "NegativeRadicand",
-        "DegenerateChain", "ZeroP3", "NonPositivePermanent",
+        "NonFiniteResult", "ZeroP3", "NonPositivePermanent",
     }
 
     def check(report, expected):
@@ -248,7 +248,14 @@ def test_criterion_8_error_path_integrity(clean, monkeypatch):
                       lambda e1, e2, omega1, omega2, t1: 1.0)
         patch.setattr(grid_analysis, "critical_distance",
                       lambda v1, l_p1: 1.0)
-        check(run_watch(clean), "DegenerateChain")
+        # equal distances divide by zero, which has no kind of its own
+        report = run_watch(clean)
+        check(report, "NonFiniteResult")
+        assert [(e.error, e.stage, e.quantity) for e in report.errors] == [
+            ("NonFiniteResult", "watch", "p_false_alarm_raw")]
+        assert report.p_false_alarm_raw is None
+        assert report.p_false_alarm is None
+        assert report.states.market_state is OperatingState.NORMAL
 
     with monkeypatch.context() as patch:
         patch.setattr(grid_analysis, "star_reliability", lambda v1: 0.0)

@@ -115,10 +115,9 @@ class TestTradeVolume:
         assert excinfo.value.value is None
 
     def test_squared_underflow(self):
-        with pytest.raises(ZeroPotential) as excinfo:
+        # no kind of its own: run_watch reports it as NonFiniteResult
+        with pytest.raises(ZeroDivisionError):
             trade_volume(1e-170)
-        assert excinfo.value.detail == "u_s squared underflows to zero"
-        assert excinfo.value.value == 1e-170
 
 
 class TestDistances:

@@ -186,5 +186,13 @@ def test_admissible_records_keep_the_grid_model_bounds(params):
     assert trace["t1"] is None or trace["t1"] >= 0.625
     assert trace["rho"] is None or trace["rho"] > 4
     assert trace["t2"] is None or trace["t2"] > 0
+    # why r_mid is never zero in the false-alarm chain: v1 * l_p1 is a sum
+    # of two x/(x**2 + 1/16) <= 2, and v1 is defined only while
+    # l_p1 < 1.4e154 (its squares overflow past that), so
+    # r_c = exp(-v1 l_p1)/(10 l_p1) > 0; r_e = 1/(128 sqrt(gap)) > 0 too
+    # (the largest |v1 l_p1| on 20,000 wide draws is 2.56)
+    assert trace["v1"] is None or abs(trace["v1"] * trace["l_p1"]) <= 4
+    assert trace["r_c"] is None or trace["r_c"] > 0
+    assert trace["r_e"] is None or trace["r_e"] > 0
     assert {error.error for error in report.errors
             if error.stage == "grid-model"} <= {"NonFiniteResult"}

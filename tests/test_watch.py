@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from daywatch import (
     ComputationError,
-    DegenerateChain,
     ErrorRecord,
     InputParameters,
     NegativeMissRadicand,
@@ -21,7 +20,6 @@ from daywatch import (
     ThreatLevel,
     ValidationError,
     Violation,
-    ZeroMiddle,
     ZeroP3,
     emit_report,
     grid_analysis,
@@ -183,15 +181,12 @@ class TestFalseAlarm:
         assert clamped == 0.0
         assert out_of_range is False
 
-    def test_degenerate_chain(self):
-        with pytest.raises(DegenerateChain) as excinfo:
-            false_alarm(2.0, 2.0, 2.0)
-        assert excinfo.value.detail == "all three distances are equal"
-        assert excinfo.value.value is None
-
-    def test_zero_middle(self):
-        with pytest.raises(ZeroMiddle):
-            false_alarm(0.0, 0.0, 1.0)
+    @pytest.mark.parametrize("chain", [(2.0, 2.0, 2.0), (0.0, 0.0, 1.0)],
+                             ids=["equal-distances", "zero-middle"])
+    def test_zero_denominator_divides_by_zero(self, chain):
+        # no kind of its own: run_watch reports it as NonFiniteResult
+        with pytest.raises(ZeroDivisionError):
+            false_alarm(*chain)
 
     @settings(max_examples=100, deadline=None)
     @given(distinct_triples)
@@ -569,8 +564,10 @@ class TestFaultInjection:
             grid_analysis, "critical_distance", lambda v1, l_p1: 1.0
         )
         report = run_watch(clean)
-        assert [e.error for e in report.errors] == ["DegenerateChain"]
-        assert report.errors[0].detail == "all three distances are equal"
+        # the division by zero has no kind of its own
+        assert report.errors == (ErrorRecord(
+            "watch", "p_false_alarm_raw", "NonFiniteResult",
+            "evaluation left the float range"),)
         assert report.p_false_alarm_raw is None
         assert report.p_false_alarm is None
         # equal distances exceed nothing, so the market reads normal
@@ -586,9 +583,14 @@ class TestFaultInjection:
             lambda e1, e2, omega1, omega2, t1: 0.0
         )
         report = run_watch(clean)
-        assert [e.error for e in report.errors] == ["ZeroMiddle"]
-        assert report.errors[0].detail == "middle distance is zero"
+        assert report.errors == (ErrorRecord(
+            "watch", "p_false_alarm_raw", "NonFiniteResult",
+            "evaluation left the float range"),)
+        assert report.p_false_alarm_raw is None
         assert report.p_false_alarm is None
+        # zero distances exceed nothing, so the market reads normal
+        assert report.states.market_state is OperatingState.NORMAL
+        assert (report.trace["r_small"], report.trace["r_mid"]) == (0.0, 0.0)
 
     def test_zero_p3(self, clean, monkeypatch):
         monkeypatch.setattr(
