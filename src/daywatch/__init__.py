@@ -40,7 +40,6 @@ from .errors import (
 from .grid_analysis import (
     QUENCH_CONSTANT,
     OperatingState,
-    StateClassification,
     ThreatLevel,
     classify_grid,
     classify_market,
@@ -55,7 +54,7 @@ from .grid_analysis import (
     triangle_reliability,
 )
 from .grid_model import second_pair, separability
-from .inputs import InputParameters, ScaledTimes, scale_times, validate
+from .inputs import InputParameters, scale_times, validate
 from .io import (
     SweepEntry,
     SweepSpec,
@@ -68,6 +67,7 @@ from .lyapunov import build_matrix, permanent
 from .watch import (
     ReportFlags,
     RunConfig,
+    StateClassification,
     WatchReport,
     false_alarm,
     fourth_probability,

@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import NamedTuple
 
 from .errors import (
     NegativeRadicand,
@@ -107,12 +106,6 @@ class ThreatLevel(str, Enum):
     SEVERE = "severe"
 
     __str__ = str.__str__
-
-
-class StateClassification(NamedTuple):
-    market_state: OperatingState | None
-    grid_state: OperatingState | None
-    threat_level: ThreatLevel | None
 
 
 def energy_potential(l_p1: float, l_y1: float,

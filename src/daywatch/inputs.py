@@ -40,15 +40,6 @@ class InputParameters(NamedTuple):
     date: str | None = None
 
 
-class ScaledTimes(NamedTuple):
-    """The four dimensionless starred times feeding the evolution matrix."""
-
-    t6_1_s: float
-    t6_2_s: float
-    t16_s: float
-    t24_s: float
-
-
 def validate(params: InputParameters) -> InputParameters:
     """Check every invariant; raise one ValidationError naming all violations."""
     t6_1, t6_2, t16, t24, k_c, c_0, delta = params[:len(FIELD_ORDER)]
@@ -87,11 +78,10 @@ def validate(params: InputParameters) -> InputParameters:
     return params
 
 
-def scale_times(params: InputParameters) -> ScaledTimes:
-    t6_1, t6_2, t16, t24 = params[:4]
-    # the doubling branch is strict: exactly 9.5 h falls on the plain branch
-    return ScaledTimes(
-        2 * t6_1 / 10 if t6_1 < DOUBLING_THRESHOLD_HOURS else t6_1 / 10,
-        t6_2 / 10,
-        2 * t16 / 10 if t16 < DOUBLING_THRESHOLD_HOURS else t16 / 10,
-        t24 / 10)
+def scale_times(t6_1: float, t6_2: float, t16: float,
+                t24: float) -> tuple[float, float, float, float]:
+    """(t6_1_s, t6_2_s, t16_s, t24_s); exactly 9.5 h does not double."""
+    return (2 * t6_1 / 10 if t6_1 < DOUBLING_THRESHOLD_HOURS else t6_1 / 10,
+            t6_2 / 10,
+            2 * t16 / 10 if t16 < DOUBLING_THRESHOLD_HOURS else t16 / 10,
+            t24 / 10)

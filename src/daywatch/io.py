@@ -55,9 +55,14 @@ from collections.abc import Callable, Iterable, Iterator
 from typing import NamedTuple, TextIO
 
 from .errors import ErrorRecord, ParseError, ValidationError
-from .grid_analysis import StateClassification
 from .inputs import FIELD_ORDER, InputParameters
-from .watch import ReportFlags, RunConfig, WatchReport, run_watch
+from .watch import (
+    ReportFlags,
+    RunConfig,
+    StateClassification,
+    WatchReport,
+    run_watch,
+)
 
 CSV_HEADER = ("date",) + FIELD_ORDER
 
@@ -84,6 +89,7 @@ _LAYOUT = (
 _SLOTS = tuple(key for _, keys in _LAYOUT for key in keys)
 _ERRORS_SLOT = _SLOTS.index("errors")
 _LEAVES = _SLOTS[:_ERRORS_SLOT] + _SLOTS[_ERRORS_SLOT + 1:]
+_DATE_SLOT = _LEAVES.index("date")
 # _values gathers the leaves of the record, the states, the flags, the
 # report's own scalars and the trace, in that order, and then permutes them.
 _SCALARS = tuple(key for key in _LEAVES if key in WatchReport._fields)
@@ -222,6 +228,10 @@ def _text_errors(errors: tuple[ErrorRecord, ...]) -> str:
 def _emit_text(report: WatchReport) -> str:
     slots = ["undefined" if value is None else value
              for value in _values(report)]
+    date = report.params.date
+    # a line break or other control character in a date would forge lines
+    if isinstance(date, str) and not date.isprintable():
+        slots[_DATE_SLOT] = repr(date)
     slots.insert(_ERRORS_SLOT, _text_errors(report.errors))
     slots.append(report.degraded)
     return _TEXT_TEMPLATE % tuple(slots)

@@ -2,8 +2,8 @@
 
 The seven inputs condense into two pairs of exponents.  The potential
 pair comes from the forecast-error reduction and from the permanent of
-a fixed 4x4 evolution matrix built out of the scaled synchronization
-times:
+a fixed 4x4 evolution matrix, which build_matrix makes out of the four
+starred (scaled synchronization) times:
 
     l_p1 = delta + 1
     l_p2 = ln(per(A))**2 / 10 + 1
@@ -36,14 +36,14 @@ from __future__ import annotations
 import math
 
 from .errors import ExponentialOverflow, NonPositivePermanent
-from .inputs import ScaledTimes
 
 # 4x4 array as nested tuples; rows are tuples of 4 floats
 EvolutionMatrix = tuple[tuple[float, float, float, float], ...]
 
 
-def build_matrix(scaled: ScaledTimes) -> EvolutionMatrix:
-    t6_1_s, t6_2_s, t16_s, t24_s = scaled
+def build_matrix(t6_1_s: float, t6_2_s: float, t16_s: float,
+                 t24_s: float) -> EvolutionMatrix:
+    """The evolution matrix A of the four starred times."""
     return (
         (t6_1_s, t6_2_s, 1.0, 0.0),
         (t24_s, t16_s, t6_2_s, 1.0),

@@ -45,7 +45,6 @@ from .grid_analysis import (
     DEFAULT_TOLERANCE,
     DEFAULT_UP_LOG_MODE,
     UP_LOG_MODES,
-    StateClassification,
 )
 from .inputs import InputParameters
 
@@ -53,6 +52,12 @@ from .inputs import InputParameters
 DROOP_PIVOT = 3.5
 
 _NON_FINITE = NonFiniteResult.__name__
+
+
+class StateClassification(NamedTuple):
+    market_state: grid_analysis.OperatingState | None
+    grid_state: grid_analysis.OperatingState | None
+    threat_level: grid_analysis.ThreatLevel | None
 
 
 class ReportFlags(NamedTuple):
@@ -238,9 +243,9 @@ def run_watch(params: InputParameters,
     inputs.validate(params)
     errors: list[ErrorRecord] = []
 
-    scaled = inputs.scale_times(params)
+    t6_1_s, t6_2_s, t16_s, t24_s = inputs.scale_times(*params[:4])
     perm_a = _step(errors, "lyapunov", "perm_a", lyapunov.permanent,
-                   lyapunov.build_matrix(scaled))
+                   lyapunov.build_matrix(t6_1_s, t6_2_s, t16_s, t24_s))
     l_p1 = lyapunov.error_exponent(params.delta)
     l_p2 = _step(errors, "lyapunov", "l_p2", lyapunov.permanent_exponent,
                  perm_a)
@@ -309,8 +314,7 @@ def run_watch(params: InputParameters,
 
     # every computed quantity in report order; the inputs stay in params
     trace = {
-        "t6_1_s": scaled.t6_1_s, "t6_2_s": scaled.t6_2_s,
-        "t16_s": scaled.t16_s, "t24_s": scaled.t24_s,
+        "t6_1_s": t6_1_s, "t6_2_s": t6_2_s, "t16_s": t16_s, "t24_s": t24_s,
         "perm_a": perm_a,
         "l_p1": l_p1, "l_p2": l_p2, "l_y1": l_y1, "l_y2": l_y2,
         "rho": rho, "discriminant": discriminant,

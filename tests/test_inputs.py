@@ -175,40 +175,53 @@ class TestValidate:
         assert caplog.messages == []
 
 
+STARRED = ("t6_1_s", "t6_2_s", "t16_s", "t24_s")
+
+
+def starred(params):
+    """The four starred times of a record, by name."""
+    return dict(zip(STARRED, scale_times(*params[:4])))
+
+
 class TestScaling:
     def test_baseline_scaling(self, baseline):
-        scaled = scale_times(baseline)
-        assert scaled.t6_1_s == pytest.approx(1.2, rel=1e-15)
-        assert scaled.t6_2_s == pytest.approx(0.6, rel=1e-15)
-        assert scaled.t16_s == pytest.approx(1.6, rel=1e-15)
-        assert scaled.t24_s == pytest.approx(2.4, rel=1e-15)
+        scaled = starred(baseline)
+        assert scaled["t6_1_s"] == pytest.approx(1.2, rel=1e-15)
+        assert scaled["t6_2_s"] == pytest.approx(0.6, rel=1e-15)
+        assert scaled["t16_s"] == pytest.approx(1.6, rel=1e-15)
+        assert scaled["t24_s"] == pytest.approx(2.4, rel=1e-15)
+
+    def test_results_are_a_plain_tuple_in_trace_order(self, baseline):
+        scaled = scale_times(*baseline[:4])
+        assert type(scaled) is tuple
+        assert list(zip(STARRED, scaled)) \
+            == list(run_watch(baseline).trace.items())[:4]
 
     def test_short_doubling_fields_double(self):
-        scaled = scale_times(make(t6_1=6.0, t16=9.0))
-        assert scaled.t6_1_s == pytest.approx(1.2, rel=1e-15)
-        assert scaled.t16_s == pytest.approx(1.8, rel=1e-15)
+        scaled = starred(make(t6_1=6.0, t16=9.0))
+        assert scaled["t6_1_s"] == pytest.approx(1.2, rel=1e-15)
+        assert scaled["t16_s"] == pytest.approx(1.8, rel=1e-15)
 
     @pytest.mark.parametrize("field", ["t6_1", "t16"])
     def test_threshold_is_strict(self, field):
         # exactly at the threshold the plain branch applies
         scaled = field + "_s"
-        at = scale_times(make(**{field: DOUBLING_THRESHOLD_HOURS}))
-        assert getattr(at, scaled) == pytest.approx(0.95, rel=1e-15)
-        assert getattr(at, scaled) == DOUBLING_THRESHOLD_HOURS / 10
+        at = starred(make(**{field: DOUBLING_THRESHOLD_HOURS}))
+        assert at[scaled] == pytest.approx(0.95, rel=1e-15)
+        assert at[scaled] == DOUBLING_THRESHOLD_HOURS / 10
         hours = math.nextafter(DOUBLING_THRESHOLD_HOURS, 0.0)
-        below = scale_times(make(**{field: hours}))
-        assert getattr(below, scaled) == pytest.approx(1.9, rel=1e-12)
+        below = starred(make(**{field: hours}))
+        assert below[scaled] == pytest.approx(1.9, rel=1e-12)
         # doubled before the division, as the report's bytes pin it
-        assert getattr(below, scaled) == 2 * hours / 10
+        assert below[scaled] == 2 * hours / 10
         # the other doubling field keeps its own branch
         other = "t16_s" if field == "t6_1" else "t6_1_s"
-        assert getattr(at, other) == getattr(below, other) \
-            == getattr(scale_times(make()), other)
+        assert at[other] == below[other] == starred(make())[other]
 
     def test_plain_fields_never_double(self):
-        scaled = scale_times(make(t6_2=3.0, t24=3.0))
-        assert scaled.t6_2_s == pytest.approx(0.3, rel=1e-15)
-        assert scaled.t24_s == pytest.approx(0.3, rel=1e-15)
+        scaled = starred(make(t6_2=3.0, t24=3.0))
+        assert scaled["t6_2_s"] == pytest.approx(0.3, rel=1e-15)
+        assert scaled["t24_s"] == pytest.approx(0.3, rel=1e-15)
 
 
 def test_values_follow_field_order(baseline):

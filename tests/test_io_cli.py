@@ -1,5 +1,6 @@
 """Parsing, serialization, sweeps, and the command-line surface."""
 
+import ast
 import csv
 import importlib
 import io
@@ -112,6 +113,9 @@ def reference_text(report):
                                  f"{record['detail']}")
                 continue
             shown = "undefined" if value is None else value
+            if name == "date" and value is not None \
+                    and not value.isprintable():
+                shown = repr(value)
             lines.append(f"  {name:<18} {shown}")
     lines.append(f"degraded: {report.degraded}")
     return "\n".join(lines) + "\n"
@@ -730,6 +734,24 @@ class TestCli:
             index = end + (1 if out[end:end + 1] == "\n" else 0)
         assert [d["input"]["date"] for d in documents] == ["a", "b"]
 
+    def test_a_date_cannot_forge_a_text_line(self, tmp_path, capsys):
+        path = self.write(
+            tmp_path, "forged.csv",
+            "date,t6_1,t6_2,t16,t24,k_c,c_0,delta\n"
+            '"2026-01-01\n  exponents",5.7,5.7,15.2,22.8,1,38,1\n',
+        )
+        code = main(["run", "--input", path, "--output", "text"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 2
+        assert lines[:3] == [
+            "input", "  date               '2026-01-01\\n  exponents'",
+            "  t6_1               5.7"]
+        assert [line.split()[0] for line in lines[1:9]] == list(CSV_HEADER)
+        assert lines[9] == "exponents" and "  exponents" not in lines
+        main(["run", "--input", path])
+        assert json.loads(capsys.readouterr().out)["input"]["date"] \
+            == "2026-01-01\n  exponents"
+
     def test_overflowing_separability_root_is_contained(self, tmp_path,
                                                         capsys):
         # 3*(2 + l_p1)**2 overflows to inf for delta near 1e154
@@ -1276,12 +1298,27 @@ class TestCli:
 def test_public_surface_is_what_the_package_imports():
     # __all__ is derived from the names __init__ imports, not listed twice
     names = daywatch.__all__
-    assert names == sorted(names) and len(names) == 53
+    assert names == sorted(names) and len(names) == 52
     assert not any(isinstance(getattr(daywatch, name), types.ModuleType)
                    for name in names)
     namespace = {}
     exec("from daywatch import *", namespace)
     assert sorted(namespace.keys() - {"__builtins__"}) == names
     assert daywatch.RunConfig.__module__ == "daywatch.watch"
+    assert daywatch.StateClassification.__module__ == "daywatch.watch"
     with pytest.raises(ModuleNotFoundError):
         importlib.import_module("daywatch.config")
+
+
+@pytest.mark.parametrize("module", ["lyapunov", "grid_model", "grid_analysis"])
+def test_formula_modules_import_only_errors_from_the_package(module):
+    # a formula takes scalars, so it needs no record of another module
+    source = Path(daywatch.__file__).with_name(f"{module}.py").read_text()
+    imported = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert {name for name in imported if name.startswith((".", "daywatch"))
+            } <= {".errors"}

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import daywatch
 from daywatch import (
     ComputationError,
     ErrorRecord,
@@ -15,7 +16,6 @@ from daywatch import (
     NegativeMissRadicand,
     OperatingState,
     RunConfig,
-    ScaledTimes,
     StateClassification,
     ThreatLevel,
     ValidationError,
@@ -55,6 +55,19 @@ DISTANCES = ("r_e", "r_h", "r_c")
 PROBABILITIES = ("p_s", "p_t", "p_g")
 CHAIN = ("r_small", "r_mid", "r_big")
 MISS = ("p1", "p2", "p3", "p4")
+
+# The records of the package, each in one of two tables: those whose
+# fields take any value, made from ones, and those made by hand.
+PLAIN_RECORDS = (InputParameters, StateClassification, ReportFlags,
+                 ErrorRecord)
+RECORD_MAKERS = {
+    "RunConfig": lambda clean: RunConfig(),
+    "WatchReport": lambda clean: run_watch(clean),
+    "Violation": lambda clean: Violation("t16", "NonFinite", math.nan),
+    "SweepSpec": lambda clean: SweepSpec("delta", 0.0, 1.0, 2),
+    "SweepEntry": lambda clean: SweepEntry(1.0, None, "ValidationError"),
+    "CheckResult": lambda clean: CheckResult("golden", True, ""),
+}
 
 distinct_triples = st.tuples(
     st.floats(min_value=0.01, max_value=100.0),
@@ -426,10 +439,8 @@ class TestRunWatchMisc:
         finally:
             gc.enable()
 
-    @pytest.mark.parametrize("record_type", [
-        InputParameters, ScaledTimes, StateClassification, ReportFlags,
-        ErrorRecord,
-    ], ids=lambda record_type: record_type.__name__)
+    @pytest.mark.parametrize("record_type", PLAIN_RECORDS,
+                             ids=lambda record_type: record_type.__name__)
     def test_records_are_immutable(self, record_type):
         record = record_type(*[1.0] * len(record_type._fields))
         with pytest.raises(AttributeError):
@@ -438,15 +449,8 @@ class TestRunWatchMisc:
             record.extra = 2.0
         assert record == (1.0,) * len(record_type._fields)
 
-    @pytest.mark.parametrize("make", [
-        lambda clean: RunConfig(),
-        lambda clean: run_watch(clean),
-        lambda clean: Violation("t16", "NonFinite", math.nan),
-        lambda clean: SweepSpec("delta", 0.0, 1.0, 2),
-        lambda clean: SweepEntry(1.0, None, "ValidationError"),
-        lambda clean: CheckResult("golden", True, ""),
-    ], ids=["RunConfig", "WatchReport", "Violation", "SweepSpec",
-            "SweepEntry", "CheckResult"])
+    @pytest.mark.parametrize("make", list(RECORD_MAKERS.values()),
+                             ids=list(RECORD_MAKERS))
     def test_named_tuples_reject_assignment(self, clean, make):
         value = make(clean)
         first = value._fields[0]
@@ -456,6 +460,15 @@ class TestRunWatchMisc:
         with pytest.raises(AttributeError):
             value.extra = 2.0
         assert getattr(value, first) is before
+
+    def test_every_record_type_is_in_a_table(self, clean):
+        # a record type added to or deleted from the package, or a checks
+        # result, must show in one of the two tables above
+        public = {value for value in map(vars(daywatch).get, daywatch.__all__)
+                  if isinstance(value, type) and issubclass(value, tuple)}
+        tabled = set(PLAIN_RECORDS) | {type(make(clean))
+                                       for make in RECORD_MAKERS.values()}
+        assert tabled == public | {CheckResult}
 
     @pytest.mark.parametrize("path", [
         lambda cls, fields: cls(*fields.values()),
