@@ -33,9 +33,6 @@ from .errors import (
     ParseError,
     ValidationError,
     Violation,
-    ZeroImpulse,
-    ZeroP3,
-    ZeroPotential,
 )
 from .grid_analysis import (
     QUENCH_CONSTANT,

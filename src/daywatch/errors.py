@@ -11,9 +11,10 @@ those plus the error's kind, detail and value.
 
 Each ComputationError kind below earns its place: an admissible record
 reaches it through run_watch, unpatched, and tests/test_error_kinds.py
-pins one such witness per kind.  A division by an exact zero that has
-no kind of its own raises ZeroDivisionError, which watch._step reports
-as NonFiniteResult at the step where it happened.
+pins one such witness per kind.  No kind names a division by zero: a
+division by an exact zero raises ZeroDivisionError, whatever the
+formula, and watch._step reports it as NonFiniteResult at the step
+where it happened.
 """
 
 from __future__ import annotations
@@ -91,14 +92,6 @@ class ExponentialOverflow(ComputationError):
     """An exponential exceeded the 64-bit range; reported, never an inf."""
 
 
-class ZeroImpulse(ComputationError):
-    """v1 = 0 makes 1/(4 v1) singular."""
-
-
-class ZeroPotential(ComputationError):
-    """u_s = 0 where a division needs it."""
-
-
 class NonPositiveGap(ComputationError):
     """u_s - u_p <= 0; the elliptic distance does not exist for this record."""
 
@@ -109,10 +102,6 @@ class NegativeRadicand(ComputationError):
 
 class NonPositivePotential(ComputationError):
     """u_s <= 0 or u_p <= 0 where a logarithm needs it (strict mode)."""
-
-
-class ZeroP3(ComputationError):
-    """Halved minimum of the probability chain is zero; p4/p3 undefined."""
 
 
 class NegativeMissRadicand(ComputationError):

@@ -49,13 +49,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 
-from .errors import (
-    NegativeRadicand,
-    NonPositiveGap,
-    NonPositivePotential,
-    ZeroImpulse,
-    ZeroPotential,
-)
+from .errors import NegativeRadicand, NonPositiveGap, NonPositivePotential
 
 # Named constant of the quenched-disorder exponent denominator.
 QUENCH_CONSTANT = 1.261060863 * math.pi
@@ -112,20 +106,31 @@ def energy_potential(l_p1: float, l_y1: float,
                      t1: float) -> tuple[float, float, float]:
     """(v1, w1, u_s) from the first exponent pair and the coupling time.
 
-    v1 = (l_p1 + t1)/(l_p1 ((l_p1 + t1)**2 + 1/16))
-       + (l_p1 - t1)/(l_p1 ((l_p1 - t1)**2 + 1/16))
-    w1 = (3/l_p1) ln(((l_p1 + t1)**2 + 1/16)/((l_p1 - t1)**2 + 1/16))
+    With plus = (l_p1 + t1)**2 + 1/16 and minus = (l_p1 - t1)**2 + 1/16,
+    the paper's forms are
+
+    v1 = (l_p1 + t1)/(l_p1 plus) + (l_p1 - t1)/(l_p1 minus)
+    w1 = (3/l_p1) ln(plus/minus)
     u_s = l_y1**2 v1 + w1
 
-    Both denominators are at least 1/16, so l_p1 = 0 is the only pole,
-    and no admissible record reaches it: l_p1 = delta + 1 >= 1.  Large
-    inputs still leave the float range (a square past ~1.3e154 raises
-    OverflowError), which the pipeline reports as NonFiniteResult.
+    Once t1 is large the two terms of v1 cancel (to exactly 0 in floats)
+    and plus/minus rounds towards 1, so neither is evaluated as written.
+    Over the common denominator l_p1 plus minus the numerator of v1 is
+    2 l_p1 ((l_p1 - t1)(l_p1 + t1) + 1/16), and plus - minus = 4 l_p1 t1:
+
+    v1 = 2 ((l_p1 - t1)(l_p1 + t1) + 1/16)/(plus minus)
+    w1 = (3/l_p1) ln(1 + 4 l_p1 t1/minus)
+
+    The factor 2 is applied after the division by plus, where it cannot
+    overflow.  Both denominators are at least 1/16, so the 3/l_p1 of w1
+    is the only pole, and no admissible record reaches it: l_p1 =
+    delta + 1 >= 1.  A square past ~1.3e154 raises OverflowError, which
+    the pipeline reports as NonFiniteResult.
     """
     plus = (l_p1 + t1) ** 2 + REGULARIZER
     minus = (l_p1 - t1) ** 2 + REGULARIZER
-    v1 = (l_p1 + t1) / (l_p1 * plus) + (l_p1 - t1) / (l_p1 * minus)
-    w1 = (3 / l_p1) * math.log(plus / minus)
+    v1 = ((l_p1 - t1) * (l_p1 + t1) + REGULARIZER) / plus * 2 / minus
+    w1 = (3 / l_p1) * math.log1p(4 * l_p1 * t1 / minus)
     u_s = l_y1 ** 2 * v1 + w1
     return v1, w1, u_s
 
@@ -140,9 +145,9 @@ def frequency_from_auxiliary(p_x: float, v1: float, t1: float) -> float:
 
     Typically negative for positive v1 and t1, which is what later makes
     ln(u_p) undefined in the quenched probability; see quenched_probability.
+    v1 = 0 divides by zero: ZeroDivisionError, which run_watch reports
+    as NonFiniteResult.
     """
-    if v1 == 0:
-        raise ZeroImpulse("v1 is zero")
     return -(0.5 + 1 / (4 * v1)) * (1 + p_x * v1 / t1) * math.exp(v1 * t1)
 
 
@@ -153,12 +158,11 @@ def trade_volume(u_s: float) -> float:
 
     Approaches 100 from below as |u_s| grows; strongly negative for
     small |u_s|.  The raw value is reported either way and the
-    valid_percentage flag marks whether it landed inside [0, 100].  A
-    nonzero |u_s| below ~1e-161 squares to 0 and divides by zero:
-    ZeroDivisionError, which run_watch reports as NonFiniteResult.
+    valid_percentage flag marks whether it landed inside [0, 100].
+    u_s = 0, or a nonzero |u_s| below ~1e-161 that squares to 0, divides
+    by zero: ZeroDivisionError, which run_watch reports as
+    NonFiniteResult.
     """
-    if u_s == 0:
-        raise ZeroPotential("u_s is zero")
     return 100 - 9 * math.pi ** 2 / (4 * (u_s / (2 * math.pi)) ** 2)
 
 

@@ -5,6 +5,9 @@ Input formats
            row; `date` is an opaque pass-through label and may be empty
     json   an array of objects carrying the same keys; `date` optional
 
+Either way a date is stripped of surrounding whitespace and an empty one
+is null, so one record gives the same report from both formats.
+
 Records stream: parse_records yields each record unvalidated as its row
 is read, so run_watch is the one validator.  A JSON array is read in
 fixed chunks and decoded one element at a time (json_reader, imported
@@ -22,19 +25,19 @@ all built from it, and so are the getters with which _values takes the
 inputs from report.params, the computed quantities from report.trace by
 name and the rest from the report, and puts them in layout order with
 one permutation made at import.  Both emitters fill a %-template made
-once from the layout with the report's leaf values, each state as it
-is, in one flat tuple.  The text template is made at import.  The JSON
+once from the layout with the report's leaf values, each state as it is,
+in one flat tuple.  The text template is made at import.  The JSON
 template, its encoder and the json module itself are made on the first
 JSON report (_json_writer), so a sweep or a text report never loads json
-for its output.  The JSON
-is byte-identical to json.dumps(report_as_dict(report), indent=2,
-allow_nan=False) + "\n": one call of the stdlib's C encoder writes every
-leaf and every error-record field of a report as a flat array with NUL
-as its item separator, and the array is split on NUL into the template's
-slots.  A NUL inside a string comes out escaped as \u0000, so the split
-is exact, and a non-finite float raises ValueError.  json.dumps with an
-indent is not called because any indent makes CPython 3.11 fall back to
-its pure-Python encoder, which took longer than computing the report.
+for its output.  The JSON is byte-identical to
+json.dumps(report_as_dict(report), indent=2, allow_nan=False) + "\n":
+one call of the stdlib's C encoder writes every leaf and every
+error-record field of a report as a flat array with NUL as its item
+separator, and the array is split on NUL into the template's slots.  A
+NUL inside a string comes out escaped as \u0000, so the split is exact,
+and a non-finite float raises ValueError.  json.dumps with an indent is
+not called because any indent makes CPython 3.11 fall back to its
+pure-Python encoder, which took longer than computing the report.
 
 Sweeps stream: sweep yields each point's entry as soon as it is evaluated,
 so a caller writes each sweep_row as it goes and holds one report at a time.

@@ -117,7 +117,9 @@ def parse_json(stream: TextIO) -> Iterator[tuple[int, InputParameters]]:
             raise ParseError(row_number, "missing fields: "
                              f"{sorted(_REQUIRED_KEYS - keys)}")
         date = entry.get("date")
-        if date is not None and not isinstance(date, str):
+        if isinstance(date, str):
+            date = date.strip() or None  # as a CSV date is read
+        elif date is not None:
             raise ParseError(row_number, "date must be a string or null")
         numbers = []
         for name in FIELD_ORDER:

@@ -39,7 +39,6 @@ from .errors import (
     ErrorRecord,
     NegativeMissRadicand,
     NonFiniteResult,
-    ZeroP3,
 )
 from .grid_analysis import (
     DEFAULT_TOLERANCE,
@@ -134,14 +133,17 @@ def half_chain(p_s: float, p_t: float,
 
 def fourth_probability(p3: float, k_c: float) -> float:
     """p4 = (k_c/3.5)**4 * p3, so p4/p3 is a pure droop factor."""
-    if p3 == 0:
-        raise ZeroP3("halved minimum of the probability chain is zero")
     return (k_c / DROOP_PIVOT) ** 4 * p3
 
 
 def miss_probability(p1: float, p2: float, p3: float, p4: float,
                      v_m: float) -> tuple[float, float, bool]:
-    """(raw, clamped, out_of_range) miss probability of the chain p1..p4."""
+    """(raw, clamped, out_of_range) miss probability of the chain p1..p4.
+
+    p3 = 0 (at v1 = 1, say, a root of both reliability polynomials)
+    divides by zero: ZeroDivisionError, which run_watch reports as
+    NonFiniteResult.
+    """
     share = v_m / 100
     inner = share ** 2 * (1 - share) ** 2 * (p1 - p2) ** 2 + p1 * p2
     if inner < 0:

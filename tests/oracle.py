@@ -195,14 +195,17 @@ def evaluate(record, up_log_mode="strict", tolerance=1e-6):
     else:
         u_p = None
         if v1 == 0:
-            fail("grid-analysis", "u_p", "ZeroImpulse", "v1 is zero")
+            # a division by zero, which daywatch reports as such
+            fail("grid-analysis", "u_p", "NonFiniteResult",
+                 "evaluation left the float range")
 
     if u_s is not None and u_s != 0:
         v_m = 100 - 9 * pi ** 2 / (4 * (u_s / (2 * pi)) ** 2)
     else:
         v_m = None
         if u_s == 0:
-            fail("grid-analysis", "trade_volume_pct", "ZeroPotential", "u_s is zero")
+            fail("grid-analysis", "trade_volume_pct", "NonFiniteResult",
+                 "evaluation left the float range")
 
     r_e = r_h = r_c = None
     if u_s is not None and u_p is not None:
@@ -285,18 +288,18 @@ def evaluate(record, up_log_mode="strict", tolerance=1e-6):
         p1 = chain[2]
         p2 = 1 - chain[1] / 2
         p3 = chain[0] / 2
-        if p3 == 0:
-            fail("watch", "p_miss_raw", "ZeroP3",
-                 "halved minimum of the probability chain is zero")
+        p4 = (k_c / mpf(3.5)) ** 4 * p3
+        inner = (v_m / 100) ** 2 * (1 - v_m / 100) ** 2 * (p1 - p2) ** 2 + p1 * p2
+        if inner < 0:
+            fail("watch", "p_miss_raw", "NegativeMissRadicand",
+                 "miss radicand is negative", inner)
+        elif p3 == 0:
+            # p4/p3 divides by zero, which daywatch reports as such
+            fail("watch", "p_miss_raw", "NonFiniteResult",
+                 "evaluation left the float range")
         else:
-            p4 = (k_c / mpf(3.5)) ** 4 * p3
-            inner = (v_m / 100) ** 2 * (1 - v_m / 100) ** 2 * (p1 - p2) ** 2 + p1 * p2
-            if inner < 0:
-                fail("watch", "p_miss_raw", "NegativeMissRadicand",
-                     "miss radicand is negative", inner)
-            else:
-                p_m_raw = 1 - 2 * sqrt(p4 / p3) * (sqrt(inner) + sqrt(p3 * p4))
-                p_m = min(max(p_m_raw, mpf(0)), mpf(1))
+            p_m_raw = 1 - 2 * sqrt(p4 / p3) * (sqrt(inner) + sqrt(p3 * p4))
+            p_m = min(max(p_m_raw, mpf(0)), mpf(1))
 
     def out(x):
         if x is None:

@@ -212,8 +212,8 @@ def test_criterion_7_documented_anomalies():
 def test_criterion_8_error_path_integrity(clean, monkeypatch):
     """Each declared failure is contained, named, and emits finite JSON."""
     remaining = {
-        "ZeroImpulse", "NonPositiveGap", "NegativeRadicand",
-        "NonFiniteResult", "ZeroP3", "NonPositivePermanent",
+        "NonPositiveGap", "NegativeRadicand", "NonFiniteResult",
+        "NonPositivePermanent",
     }
 
     def check(report, expected):
@@ -230,7 +230,11 @@ def test_criterion_8_error_path_integrity(clean, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(grid_analysis, "energy_potential",
                       lambda l_p1, l_y1, t1: (0.0, 1.0, 2.0))
-        check(run_watch(clean), "ZeroImpulse")
+        # v1 = 0 divides by zero, which has no kind of its own
+        report = run_watch(clean)
+        check(report, "NonFiniteResult")
+        assert [(e.error, e.stage, e.quantity) for e in report.errors] == [
+            ("NonFiniteResult", "grid-analysis", "u_p")]
 
     check(run_watch(BASELINE), "NonPositiveGap")
 
@@ -259,7 +263,11 @@ def test_criterion_8_error_path_integrity(clean, monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(grid_analysis, "star_reliability", lambda v1: 0.0)
-        check(run_watch(clean), "ZeroP3")
+        # so does p3 = 0
+        report = run_watch(clean)
+        check(report, "NonFiniteResult")
+        assert [(e.error, e.stage, e.quantity) for e in report.errors] == [
+            ("NonFiniteResult", "watch", "p_miss_raw")]
 
     with monkeypatch.context() as patch:
         patch.setattr(lyapunov, "permanent", lambda matrix: 0.0)

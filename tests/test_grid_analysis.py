@@ -16,8 +16,6 @@ from daywatch import (
     OperatingState,
     QUENCH_CONSTANT,
     ThreatLevel,
-    ZeroImpulse,
-    ZeroPotential,
 )
 from daywatch.grid_analysis import (
     REGULARIZER,
@@ -86,12 +84,10 @@ class TestFrequencyPotential:
         value = frequency_from_auxiliary(p_x=0.0, v1=0.5, t1=1.0)
         assert value == pytest.approx(-math.exp(0.5), rel=1e-15)
 
-    def test_guards(self):
-        with pytest.raises(ZeroImpulse) as excinfo:
+    def test_zero_impulse_divides_by_zero(self):
+        # no kind of its own: run_watch reports it as NonFiniteResult
+        with pytest.raises(ZeroDivisionError):
             frequency_from_auxiliary(0.0, v1=0.0, t1=1.0)
-        assert excinfo.value.detail == "v1 is zero"
-        assert excinfo.value.value is None
-        assert str(excinfo.value) == "v1 is zero"
 
 
 class TestTradeVolume:
@@ -109,10 +105,9 @@ class TestTradeVolume:
         assert trade_volume(-3 * math.pi ** 2) == trade_volume(3 * math.pi ** 2)
 
     def test_zero_potential(self):
-        with pytest.raises(ZeroPotential) as excinfo:
+        # no kind of its own: run_watch reports it as NonFiniteResult
+        with pytest.raises(ZeroDivisionError):
             trade_volume(0.0)
-        assert excinfo.value.detail == "u_s is zero"
-        assert excinfo.value.value is None
 
     def test_squared_underflow(self):
         # no kind of its own: run_watch reports it as NonFiniteResult

@@ -323,9 +323,10 @@ class TestParseJson:
             entries, indent=indent, ensure_ascii=ascii,
             separators=(item[0] + "," + item[1], key[0] + ":" + key[1])
         ) + after
+        # a date is read as a CSV date is: stripped, and null if empty
         expected = [InputParameters(*(float(entry[name])
                                       for name in FIELD_ORDER),
-                                    entry.get("date"))
+                                    (entry.get("date") or "").strip() or None)
                     for entry in json.loads(text)]
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(daywatch.json_reader, "_CHUNK_SIZE", chunk)
@@ -529,7 +530,8 @@ class TestByteIdentity:
         assert all(isinstance(record.value, float)
                    for record in report.errors)
         edited = report._replace(errors=(
-            ErrorRecord("grid-analysis", "u_p", "ZeroImpulse", "v1 is zero"),
+            ErrorRecord("grid-analysis", "u_p", "NonFiniteResult",
+                        "evaluation left the float range"),
             *report.errors,
             ErrorRecord("watch", "p_miss_raw", "NegativeMissRadicand",
                         ESCAPED_DATE, -2.5e-300)))
@@ -831,6 +833,29 @@ class TestCli:
         assert code == 2  # the baseline record is degraded, not unreadable
         assert captured.err == ""
         assert json.loads(captured.out)["input"]["date"] == "2026-01-01"
+
+    @pytest.mark.parametrize("output", ["json", "text"])
+    @pytest.mark.parametrize("date", [" x ", "", "\t"],
+                             ids=["padded", "empty", "blank"])
+    def test_a_date_reports_the_same_from_csv_and_json(self, tmp_path,
+                                                       capsys, date, output):
+        csv_path = self.write(tmp_path, "day.csv", ",".join(CSV_HEADER)
+                              + f"\n{date},6,6,16,24,4,50,0.035\n")
+        json_path = self.write(tmp_path, "day.json", json.dumps([{
+            "date": date, "t6_1": 6, "t6_2": 6, "t16": 16, "t24": 24,
+            "k_c": 4, "c_0": 50, "delta": 0.035}]))
+        runs = []
+        for path, format in ((csv_path, "csv"), (json_path, "json")):
+            code = main(["run", "--input", path, "--format", format,
+                         "--output", output])
+            runs.append((code, *capsys.readouterr()))
+        assert runs[0] == runs[1]
+        # stripped, and null when nothing is left
+        shown = date.strip() or None
+        if output == "json":
+            assert json.loads(runs[0][1])["input"]["date"] == shown
+        else:
+            assert f"  {'date':<18} {shown or 'undefined'}\n" in runs[0][1]
 
     def test_byte_order_mark_before_an_empty_array_is_an_empty_batch(
             self, tmp_path, capsys):
@@ -1298,7 +1323,7 @@ class TestCli:
 def test_public_surface_is_what_the_package_imports():
     # __all__ is derived from the names __init__ imports, not listed twice
     names = daywatch.__all__
-    assert names == sorted(names) and len(names) == 52
+    assert names == sorted(names) and len(names) == 49
     assert not any(isinstance(getattr(daywatch, name), types.ModuleType)
                    for name in names)
     namespace = {}

@@ -20,7 +20,6 @@ from daywatch import (
     ThreatLevel,
     ValidationError,
     Violation,
-    ZeroP3,
     emit_report,
     grid_analysis,
     grid_model,
@@ -247,11 +246,10 @@ class TestMissProbability:
 
     def test_zero_p3(self):
         _, _, p3 = half_chain(0.0, 0.5, 0.9)
-        with pytest.raises(ZeroP3) as excinfo:
-            fourth_probability(p3, k_c=2.0)
-        assert excinfo.value.detail == (
-            "halved minimum of the probability chain is zero"
-        )
+        assert fourth_probability(p3, k_c=2.0) == 0.0
+        # no kind of its own: run_watch reports it as NonFiniteResult
+        with pytest.raises(ZeroDivisionError):
+            miss_chain(0.0, 0.5, 0.9, k_c=2.0, v_m=50.0)
 
     def test_negative_radicand_carries_the_value(self):
         with pytest.raises(NegativeMissRadicand) as excinfo:
@@ -537,8 +535,10 @@ class TestFaultInjection:
             lambda l_p1, l_y1, t1: (0.0, 1.0, 2.0),
         )
         report = run_watch(clean)
-        assert [e.error for e in report.errors] == ["ZeroImpulse"]
-        assert report.errors[0].quantity == "u_p"
+        # the division by zero has no kind of its own
+        assert report.errors == (ErrorRecord(
+            "grid-analysis", "u_p", "NonFiniteResult",
+            "evaluation left the float range"),)
         assert report.trace["u_p"] is None
         assert report.trace["r_e"] is None
         # reliability side only needs v1, so it stays alive
@@ -610,15 +610,15 @@ class TestFaultInjection:
             grid_analysis, "star_reliability", lambda v1: 0.0
         )
         report = run_watch(clean)
-        assert [e.error for e in report.errors] == ["ZeroP3"]
-        assert (report.errors[0].stage, report.errors[0].quantity) == (
-            "watch", "p_miss_raw"
-        )
-        # the first three chain links are already fixed when p4 fails
+        # p4/p3 divides by zero, which has no kind of its own
+        assert report.errors == (ErrorRecord(
+            "watch", "p_miss_raw", "NonFiniteResult",
+            "evaluation left the float range"),)
+        # the whole chain is fixed when the miss probability fails
         assert report.trace["p1"] is not None
         assert report.trace["p2"] is not None
         assert report.trace["p3"] == 0.0
-        assert report.trace["p4"] is None
+        assert report.trace["p4"] == 0.0
         assert report.p_miss_raw is None
         assert report.p_miss is None
 
