@@ -1,27 +1,17 @@
-#!/usr/bin/env python3
 """Independent high-precision reference for the day-ahead watch pipeline.
 
 Evaluates every formula of the pipeline directly in mpmath at 50
 significant digits, with no imports from the daywatch package.  The
-report structure produced here mirrors the published JSON schema, so
-the frozen golden file can be compared field by field against the
-production pipeline.
-
-Run as a script to regenerate the golden baseline report:
-
-    python tests/oracle.py --write-golden src/daywatch/data/golden_baseline.json
-
-or to print the frozen values used by the unit tests:
-
-    python tests/oracle.py --derived
+report structure produced here mirrors the published JSON schema, so a
+daywatch report can be compared with it field by field.  The frozen
+golden file is evaluate(BASELINE_RECORD), the tests compare whole
+reports against evaluate() across the input domain, and the benchmark
+builds its reference from it.
 """
 
 from __future__ import annotations
 
-import argparse
 import itertools
-import json
-import sys
 
 from mpmath import mp, mpf, exp, gamma, log, pi, sqrt
 
@@ -41,8 +31,7 @@ BASELINE_RECORD = {
 }
 
 # Record on which every quantity of the pipeline is defined in strict
-# mode (found by scanning the input space with this evaluator; see
-# find_clean_record below).
+# mode (found by scanning the input space with this evaluator).
 CLEAN_RECORD = {
     "date": None,
     "t6_1": 5.7,
@@ -387,82 +376,3 @@ def evaluate(record, up_log_mode="strict", tolerance=1e-6):
         "flags": flags,
     }
 
-
-def print_derived():
-    """Frozen expected values for the unit tests."""
-    cycle = ((1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1), (1, 0, 0, 1))
-    print("permanent cycle band matrix:", permanent([[mpf(x) for x in r] for r in cycle]))
-
-    print("l_y1 at c_0=50:", exp(mpf(50) / 25))
-    print("l_y2 at k_c=4:", exp(mpf(4) / 10) + 1)
-
-    l_p1, l_p2 = mpf(float(1.035)), mpf(float(1.4))
-    l_y1, l_y2 = exp(mpf(2)), exp(mpf(0.4)) + 1
-    print("first_pair e1:", l_p1 * l_p2)
-    print("first_pair t1:", (mpf(1) / 4) * (1 + ((l_y1 + l_p1) / 2) * ((l_y2 + l_p2) / 2)))
-
-    for lp in (mpf(0), mpf(1)):
-        a = 2 + lp
-        disc = a ** 2 - 4 * ((4 - a ** 2) / 2 - 2)
-        rho = (a + sqrt(disc)) / 2
-        print(f"l_p1={lp}: discriminant={disc} rho={rho}")
-        print(f"  e2={(rho + sqrt(rho**2 - 4)) / 2}")
-        print(f"  t2={5 * (rho - sqrt(rho**2 - 4))}")
-
-    plus = (mpf(1) + 1) ** 2 + (mpf(1) / 4) ** 2
-    minus = (mpf(1) - 1) ** 2 + (mpf(1) / 4) ** 2
-    print("v1 at (l_p1=1, t1=1):", 2 / plus, "= 32/65 =", mpf(32) / 65)
-    print("w1 at (l_p1=1, t1=1):", 3 * log(plus / minus), "= 3 ln 65 =", 3 * log(mpf(65)))
-
-    print("r_e at gap 1/16384:",
-          gamma(mpf(1) / 2) / (sqrt(pi) * 2 ** 6 * gamma(3) * sqrt(mpf(1) / 16384)))
-    rad = 256 * pi ** 5
-    print("r_h at radicand 256 pi^5:",
-          2 * sqrt(rad) / (32 * pi ** 2 * gamma(3) * gamma(mpf(3) / 2)))
-    print("r_c at (v1=1, l_p1=1):", exp(mpf(-1)) / 10)
-
-    e1_star = QUENCH_CONSTANT / 4
-    print("quenched e1* (unit exponent):", e1_star)
-    print("p_g at (u_s=1, u_p=1/e, e1=e1*):",
-          1 - exp(-4 * (log(mpf(1)) - log(exp(mpf(-1)))) ** 2 * e1_star / QUENCH_CONSTANT))
-
-    print("trade volume at u_s=3 pi^2:",
-          100 - 9 * pi ** 2 / (4 * ((3 * pi ** 2) / (2 * pi)) ** 2))
-
-    r_small, r_mid, r_big = mpf(1), mpf(2), mpf(3)
-    print("p_f_raw at (1,2,3):",
-          (mpf(2) / 3) * (r_small / (r_small - r_big)) * ((r_mid - r_big) / r_mid) ** 2)
-
-    p1, p2, p3 = mpf(1), 1 - mpf(1) / 2, mpf(1) / 2
-    p4 = (mpf(3.5) / mpf(3.5)) ** 4 * p3
-    print("p_m_raw at chain (1,1,1), k_c=3.5, v_m=100:",
-          1 - 2 * sqrt(p4 / p3) * (sqrt(mpf(1) * (1 - 1) ** 2 * (p1 - p2) ** 2 + p1 * p2)
-                                   + sqrt(p3 * p4)))
-
-    print("\nbaseline record intermediates (50 digits):")
-    report = evaluate(BASELINE_RECORD)
-    print(json.dumps(report, indent=2))
-
-    print("\nclean record intermediates (50 digits):")
-    print(json.dumps(evaluate(CLEAN_RECORD), indent=2))
-
-
-def main():
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--write-golden", metavar="PATH")
-    parser.add_argument("--derived", action="store_true")
-    args = parser.parse_args()
-    if args.write_golden:
-        report = evaluate(BASELINE_RECORD)
-        with open(args.write_golden, "w") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
-        print(f"golden baseline written to {args.write_golden}", file=sys.stderr)
-    if args.derived:
-        print_derived()
-    if not args.write_golden and not args.derived:
-        print(json.dumps(evaluate(BASELINE_RECORD), indent=2))
-
-
-if __name__ == "__main__":
-    main()

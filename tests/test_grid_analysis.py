@@ -5,17 +5,21 @@ import io
 import math
 
 import exact
+import mpmath
+import oracle
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from daywatch import (
+    InputParameters,
     NegativeRadicand,
     NonPositiveGap,
     NonPositivePotential,
     OperatingState,
     QUENCH_CONSTANT,
     ThreatLevel,
+    run_watch,
 )
 from daywatch.grid_analysis import (
     REGULARIZER,
@@ -254,6 +258,20 @@ class TestReliabilityPolynomials:
             1.4914477769510e-34, rel=1e-12, abs=0)
         assert star_reliability(v1) == pytest.approx(
             3.4992698829759e-20, rel=1e-12, abs=0)
+
+    def test_near_one_margin_is_v1_s_not_the_polynomial_s(self):
+        # the benchmark's near_one edge record on the baseline, v1 = 1 + 1e-5:
+        # p_t's condition number there is 8|v1/(1 - v1)| = 8e5, so v1's
+        # 6 ulps put p_t 1.1e-9 off its true value, past the benchmark's
+        # 1e-9, while at daywatch's own v1 the polynomial is exact to 3e-17
+        record = InputParameters(6.0, 6.0, 16.0, 24.0, 4.0,
+                                 9.932319950856053, 0.035)
+        trace = run_watch(record).trace
+        with mpmath.workdps(150):
+            wanted = oracle.evaluate(record._asdict())["potentials"]["v1"]
+        assert abs(trace["v1"] - wanted) <= 8 * math.ulp(wanted)
+        assert exact.relative_error(trace["p_t"], exact.polynomial(
+            TRIANGLE_COEFFS, trace["v1"])) <= 1e-15
 
     @pytest.mark.parametrize(
         ("coefficients", "root_order", "y_coefficients"),

@@ -1,14 +1,19 @@
 """Grid model assembly: energies, the separability root, frequencies."""
 
+import ast
 import math
 import random
+from pathlib import Path
 
+import mpmath
 import oracle
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from daywatch import ErrorRecord, InputParameters, run_watch
+from daywatch import InputParameters, RunConfig, run_watch
+from daywatch.checks import load_golden, payload_mismatches
+from daywatch.grid_analysis import UP_LOG_MODES
 from daywatch.grid_model import (
     expected_energy,
     expected_time,
@@ -17,6 +22,7 @@ from daywatch.grid_model import (
     second_pair,
     separability,
 )
+from daywatch.io import report_as_dict
 
 
 class TestFirstPair:
@@ -123,10 +129,6 @@ def test_build_model_baseline(baseline):
     assert trace["t2"] == pytest.approx(2.5715309909121737, rel=1e-12)
 
 
-GRID_MODEL_FIELDS = ("rho", "discriminant", "e1", "e2", "t1", "t2",
-                     "omega1", "omega2")
-
-
 def wide_domain_record(rng):
     """Any plausible-to-extreme record: log-uniform times and parameters.
 
@@ -140,24 +142,40 @@ def wide_domain_record(rng):
     return InputParameters(*times, k_c, c_0, delta)
 
 
-def test_grid_model_matches_the_oracle_across_the_domain():
+def test_golden_is_the_oracle_s_baseline_report():
+    assert load_golden() == oracle.evaluate(oracle.BASELINE_RECORD)
+
+
+def test_the_oracle_keeps_what_the_benchmark_reads():
+    # the benchmark is not part of the test suite, so a name it reads off
+    # the oracle could otherwise go without a failing test
+    bench = Path(oracle.__file__).parents[1] / "bench"
+    trees = [ast.parse(path.read_text(encoding="utf-8"))
+             for path in bench.glob("*.py")]
+    names = {node.attr for tree in trees for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)
+             and isinstance(node.value, ast.Name)
+             and node.value.id == "oracle"}
+    assert "evaluate" in names
+    assert [name for name in sorted(names) if not hasattr(oracle, name)] == []
+
+
+@pytest.mark.parametrize("mode", UP_LOG_MODES)
+def test_reports_match_the_oracle_across_the_domain(mode):
+    # every leaf, state, flag and error record, at the golden comparison's
+    # 1e-9; at 50 digits the oracle's own v1 and w1 are up to 6e-7 off at
+    # t1 = 1e44, so it runs at 150
     rng = random.Random(7)
+    config = RunConfig(up_log_mode=mode)
     mismatches = []
     for _ in range(300):
         params = wide_domain_record(rng)
-        report = run_watch(params)
-        reference = oracle.evaluate(params._asdict())
-        for name in GRID_MODEL_FIELDS:
-            actual, wanted = report.trace[name], reference["grid_model"][name]
-            if (actual is None) != (wanted is None) or (
-                    actual is not None
-                    and abs(actual - wanted) > 1e-9 * abs(wanted)):
-                mismatches.append((params, name, actual, wanted))
-        errors = [e for e in report.errors if e.stage == "grid-model"]
-        wanted_errors = [ErrorRecord(**e) for e in reference["watch"]["errors"]
-                         if e["stage"] == "grid-model"]
-        if errors != wanted_errors:
-            mismatches.append((params, "errors", errors, wanted_errors))
+        with mpmath.workdps(150):
+            reference = oracle.evaluate(params._asdict(), up_log_mode=mode)
+        problems = payload_mismatches(
+            report_as_dict(run_watch(params, config)), reference)
+        if problems:
+            mismatches.append((params, problems))
     assert not mismatches, mismatches[:5]
 
 

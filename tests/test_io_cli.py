@@ -22,6 +22,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import daywatch
+import daywatch.checks
 import daywatch.json_reader
 from daywatch import (
     InputParameters,
@@ -302,6 +303,25 @@ class TestParseJson:
         with pytest.raises(ParseError) as excinfo:
             parsed("[42]", "json")
         assert excinfo.value.row == 1
+
+    def test_records_need_a_comma_between_them(self):
+        text = f"[{json.dumps(self.record())} {json.dumps(self.record())}]"
+        with pytest.raises(ParseError) as caught:
+            parsed(text, "json")
+        assert (caught.value.row, caught.value.detail) == (
+            2, "not valid JSON: Expecting ',' delimiter (char 83)")
+        # the message and position json.loads gives
+        with pytest.raises(json.JSONDecodeError) as loads:
+            json.loads(text)
+        assert (loads.value.msg, loads.value.pos) \
+            == ("Expecting ',' delimiter", 83)
+
+    @pytest.mark.parametrize("date", [5, True], ids=["number", "bool"])
+    def test_date_must_be_a_string_or_null(self, date):
+        with pytest.raises(ParseError) as caught:
+            parsed(json.dumps([self.record(date=date)]), "json")
+        assert (caught.value.row, caught.value.detail) == (
+            1, "date must be a string or null")
 
     @settings(max_examples=200, deadline=None)
     @given(entries=st.lists(json_entries, max_size=4),
@@ -1011,6 +1031,32 @@ class TestCli:
             "daywatch: unparseable input: row 3: not valid JSON: "
             f"Expecting value (char {text.index('abc')})\n")
 
+    def test_json_records_without_a_comma_end_the_run_after_the_first(
+            self, tmp_path, capsys):
+        first, second = self.dated_json("ab")
+        path = self.write(tmp_path, "no-comma.json", f"[{first} {second}]")
+        code = main(["run", "--input", path, "--format", "json"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert [d["input"]["date"] for d in documents_of(captured.out)] \
+            == ["a"]
+        assert captured.err == (
+            "daywatch: unparseable input: row 2: not valid JSON: "
+            f"Expecting ',' delimiter (char {len(first) + 2})\n")
+
+    @pytest.mark.parametrize("date", ["5", "true"], ids=["number", "bool"])
+    def test_a_json_date_that_is_not_a_string_ends_the_run(
+            self, tmp_path, capsys, date):
+        (text,) = self.dated_json([None])
+        path = self.write(tmp_path, "date.json",
+                          "[" + text.replace("null", date) + "]")
+        code = main(["run", "--input", path, "--format", "json"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == ("daywatch: unparseable input: row 1: "
+                                "date must be a string or null\n")
+
     def test_data_after_the_json_array_ends_the_run_after_its_reports(
             self, tmp_path, capsys):
         text = "[" + ",".join(self.dated_json("ab")) + "]\n]"
@@ -1242,6 +1288,31 @@ class TestCli:
             assert payload_mismatches({"a": actual}, {"a": expected}) == [
                 f".a: {actual!r} != {expected!r} (rel 1e-09)"]
         assert payload_mismatches({"a": math.inf}, {"a": math.inf}) == []
+
+    @pytest.mark.parametrize(("actual", "expected", "message"), [
+        ([], {"a": 1.0}, ": expected object, got list"),
+        ({"a": 1.0, "b": None}, {"a": 1.0}, ": keys ['a', 'b'] != ['a']"),
+        ({"a": None}, {"a": []}, ".a: expected array, got NoneType"),
+        ([1.0], [1.0, 2.0], ": length 1 != 2"),
+        ("low", "high", ": 'low' != 'high'"),
+        (True, 0.5, ": True != 0.5"),
+    ], ids=["object", "keys", "array", "length", "string", "bool"])
+    def test_golden_comparison_names_each_mismatch(self, actual, expected,
+                                                   message):
+        assert payload_mismatches(actual, expected) == [message]
+
+    def test_golden_check_fails_on_an_emission_that_drifts(self,
+                                                           monkeypatch):
+        # decodes to something other than the report, and differs on
+        # every call
+        calls = itertools.count()
+        monkeypatch.setattr(daywatch.checks, "emit_report",
+                            lambda report: json.dumps(next(calls)))
+        result = daywatch.checks.check_golden()
+        assert result.passed is False
+        assert result.detail == ("emitted JSON does not decode to the "
+                                 "report; repeated runs are not "
+                                 "byte-identical")
 
     def test_module_entry_point(self):
         completed = run_child("-m", "daywatch", "check")
