@@ -59,14 +59,15 @@ def payload_mismatches(actual, expected, rel: float = GOLDEN_RELATIVE_TOLERANCE,
         for index, (a, e) in enumerate(zip(actual, expected)):
             problems.extend(payload_mismatches(a, e, rel, f"{path}[{index}]"))
         return problems
-    # bool is an int subtype; compare it exactly, not numerically
-    if isinstance(expected, (int, float)) and not isinstance(expected, bool) \
-            and isinstance(actual, (int, float)) \
-            and not isinstance(actual, bool):
+    # bool is an int subtype, but a bool equals only a bool here, and two
+    # numbers (ints or floats that are not bools) compare by math.isclose
+    bools = isinstance(actual, bool) + isinstance(expected, bool)
+    if not bools and isinstance(actual, (int, float)) \
+            and isinstance(expected, (int, float)):
         if math.isclose(actual, expected, rel_tol=rel):
             return []
         return [f"{path}: {actual!r} != {expected!r} (rel {rel})"]
-    if actual != expected:
+    if bools == 1 or actual != expected:  # a str-enum equals its value
         return [f"{path}: {actual!r} != {expected!r}"]
     return []
 
@@ -125,7 +126,7 @@ def check_golden() -> CheckResult:
     payload = report_as_dict(report)
     problems = payload_mismatches(payload, load_golden())
     emitted = emit_report(report)
-    if json.loads(emitted) != payload:
+    if payload_mismatches(json.loads(emitted), payload, rel=0.0):
         problems.append("emitted JSON does not decode to the report")
     if emitted != emit_report(run_watch(BASELINE)):
         problems.append("repeated runs are not byte-identical")

@@ -8,7 +8,7 @@ Exit codes
     3   the input could not be read, or a row of it could not be parsed
         (the reports of the rows before it are still written, for JSON
         as for CSV, since both are read one record at a time)
-    141 stdout was closed early (128 + SIGPIPE)
+    141 stdout was closed early (128 + SIGPIPE), by any command
 
 The first problem found sets the code, in this order: a usage error
 (2, from argparse), an input file that cannot be opened (3), a bad
@@ -94,32 +94,28 @@ def _add_common_arguments(subparser: argparse.ArgumentParser) -> None:
                                 "the quenched probability")
 
 
-class _Blocks:
-    """Text bound for stdout, written a block at a time, one write each
+class _Blocks(io.StringIO):
+    """Text bound for stdout, sent a block at a time, one write each
     whether or not stdout is buffered (python -u).
 
-    The first block goes out as soon as it holds a piece (a report, or
-    a sweep's header and first row), so the first output is not held
-    back; every later block once it reaches a buffer's size.
+    The first block goes out, flushed, as soon as it holds a piece (a
+    report, or a sweep's header and first row), so the first output is
+    not held back; every later block once it reaches a buffer's size.
     """
 
-    def __init__(self):
-        self.block = io.StringIO()
-        self.full = 1  # the first piece fills the first block
-
-    def write(self, text: str) -> None:
-        self.block.write(text)
-        self.send_if_full()
+    full = 1  # the first piece fills the first block
 
     def send_if_full(self) -> None:
         """Write a full block out and start the next one in its place."""
-        if self.block.tell() >= self.full:
-            sys.stdout.write(self.block.getvalue())
-            self.block.seek(self.block.truncate(0))
+        if self.tell() >= self.full:
+            sys.stdout.write(self.getvalue())
+            self.seek(self.truncate(0))
+            if self.full == 1:
+                sys.stdout.flush()
             self.full = io.DEFAULT_BUFFER_SIZE
 
-    def close(self) -> None:
-        sys.stdout.write(self.block.getvalue())
+    def send_rest(self) -> None:
+        sys.stdout.write(self.getvalue())
         sys.stdout.flush()  # a closed stdout shows here, not at exit
 
 
@@ -136,9 +132,10 @@ def _cmd_run(args, config, records) -> int:
                 continue
             any_degraded = any_degraded or report.degraded
             out.write(emit_report(report, args.output))
+            out.send_if_full()
             del report  # hold none while the next record is evaluated
     finally:  # the reports made before a parse error still go out
-        out.close()
+        out.send_rest()
     return EXIT_DEGRADED if any_degraded else EXIT_OK
 
 
@@ -157,7 +154,7 @@ def _cmd_sweep(args, config, records) -> int:
     # only rows outlive a step, so one report at a time is alive
     out = _Blocks()
     # the writer fills the block itself, with no Python-level write per row
-    writer = csv.writer(out.block, lineterminator="\n")
+    writer = csv.writer(out, lineterminator="\n")
     writer.writerow(SWEEP_COLUMNS)
     degraded = SWEEP_COLUMNS.index("degraded")
     clean = True
@@ -165,7 +162,7 @@ def _cmd_sweep(args, config, records) -> int:
         writer.writerow(row)  # csv writes None as ""
         out.send_if_full()
         clean = clean and not row[degraded]
-    out.close()
+    out.send_rest()
     return EXIT_OK if clean else EXIT_DEGRADED
 
 
@@ -176,6 +173,7 @@ def _cmd_check() -> int:
     for result in results:
         status = "PASS" if result.passed else "FAIL"
         print(f"{status}  {result.name}: {result.detail}")
+    sys.stdout.flush()  # a closed stdout shows here, not at exit
     return EXIT_OK if all(r.passed for r in results) else EXIT_CHECK_FAILED
 
 

@@ -24,12 +24,13 @@ each key once.  report_as_dict, the JSON report and the text report are
 all built from it, and so are the getters with which _values takes the
 inputs from report.params, the computed quantities from report.trace by
 name and the rest from the report, and puts them in layout order with
-one permutation made at import.  Both emitters fill a %-template made
-once from the layout with the report's leaf values, each state as it is,
-in one flat tuple.  The text template is made at import.  The JSON
-template, its encoder and the json module itself are made on the first
-JSON report (_json_writer), so a sweep or a text report never loads json
-for its output.  The JSON is byte-identical to
+one permutation made at import.  Each report is one fill of a template
+chosen by its error count, at most 23 (_json_template, _text_template),
+with its leaf values, each state as it is, and its error records' fields
+spliced in at the errors slot, in one flat tuple.  The JSON templates,
+the encoder (_json_encode) and the json module itself are made on the
+first JSON report, so a sweep or a text report never loads json for its
+output.  The JSON is byte-identical to
 json.dumps(report_as_dict(report), indent=2, allow_nan=False) + "\n":
 one call of the stdlib's C encoder writes every leaf and every
 error-record field of a report as a flat array with NUL as its item
@@ -174,58 +175,48 @@ def report_as_dict(report: WatchReport) -> dict:
             for section, keys in _LAYOUT}
 
 
-_TEXT_TEMPLATE = "".join(
-    section + "\n" + "".join("%s" if key == "errors" else f"  {key:<18} %s\n"
-                             for key in keys)
-    for section, keys in _LAYOUT) + "degraded: %s\n"
+@functools.cache
+def _text_template(count: int) -> str:
+    """The text report's template for a report with count error records."""
+    errors = "  errors\n" + "    %s in %s/%s: %s\n" * count if count else ""
+    return "".join(
+        section + "\n" + "".join(errors if key == "errors"
+                                 else f"  {key:<18} %s\n" for key in keys)
+        for section, keys in _LAYOUT) + "degraded: %s\n"
 
 
 @functools.cache
-def _json_writer() -> tuple[str, str, Callable[[list], str]]:
-    """The JSON report's template and error-record template, and the
-    encoder of its leaves, built on the first JSON report."""
-    import json
+def _json_template(count: int) -> str:
+    """json.dumps(report_as_dict(report), indent=2) with every leaf and
+    every field of the report's count error records a %s slot."""
     from json.encoder import encode_basestring_ascii as encode_string
 
-    def fields(keys: tuple[str, ...], indent: str) -> str:
-        return ",\n".join(f"{indent}{encode_string(key)}: %s" for key in keys)
+    def fields(keys: tuple[str, ...], indent: str, errors: str = "") -> str:
+        return ",\n".join(f"{indent}{encode_string(key)}: "
+                           f"{errors if key == 'errors' else '%s'}"
+                           for key in keys)
 
-    # json.dumps(report_as_dict(report), indent=2) with every leaf a %s slot
-    template = "{\n" + ",\n".join(
-        f"  {encode_string(section)}: {{\n{fields(keys, '    ')}\n  }}"
-        for section, keys in _LAYOUT) + "\n}\n"
     error = "      {\n" + fields(ErrorRecord._fields, "        ") + "\n      }"
-    # the stdlib C encoder, writing a flat array with NUL between its items
-    encoder = json.JSONEncoder(allow_nan=False, separators=("\x00", ": "))
-    return template, error, encoder.encode
+    errors = "[\n" + ",\n".join([error] * count) + "\n    ]" if count else "[]"
+    return "{\n" + ",\n".join(
+        f"  {encode_string(section)}: {{\n{fields(keys, '    ', errors)}\n  }}"
+        for section, keys in _LAYOUT) + "\n}\n"
 
 
-def _json_errors(error: str, fields: list[str]) -> str:
-    """The errors array from its records' encoded fields, in order."""
-    if not fields:
-        return "[]"
-    width = len(ErrorRecord._fields)
-    return "[\n" + ",\n".join(
-        error % tuple(fields[start:start + width])
-        for start in range(0, len(fields), width)) + "\n    ]"
+@functools.cache
+def _json_encode() -> Callable[[list], str]:
+    """The stdlib C encoder, writing a flat array with NUL between its
+    items, built on the first JSON report."""
+    import json
+    return json.JSONEncoder(allow_nan=False, separators=("\x00", ": ")).encode
 
 
 def _emit_json(report: WatchReport) -> str:
-    template, error, encode = _json_writer()
-    encoded = encode(
-        [*_values(report), *itertools.chain.from_iterable(report.errors)]
-    )[1:-1].split("\x00")
-    slots, fields = encoded[:len(_LEAVES)], encoded[len(_LEAVES):]
-    slots.insert(_ERRORS_SLOT, _json_errors(error, fields))
-    return template % tuple(slots)
-
-
-def _text_errors(errors: tuple[ErrorRecord, ...]) -> str:
-    if not errors:
-        return ""
-    return "  errors\n" + "".join(
-        f"    {record.error} in {record.stage}/{record.quantity}: "
-        f"{record.detail}\n" for record in errors)
+    leaves = list(_values(report))
+    leaves[_ERRORS_SLOT:_ERRORS_SLOT] = itertools.chain.from_iterable(
+        report.errors)
+    slots = _json_encode()(leaves)[1:-1].split("\x00")
+    return _json_template(len(report.errors)) % tuple(slots)
 
 
 def _emit_text(report: WatchReport) -> str:
@@ -235,9 +226,12 @@ def _emit_text(report: WatchReport) -> str:
     # a line break or other control character in a date would forge lines
     if isinstance(date, str) and not date.isprintable():
         slots[_DATE_SLOT] = repr(date)
-    slots.insert(_ERRORS_SLOT, _text_errors(report.errors))
+    slots[_ERRORS_SLOT:_ERRORS_SLOT] = (
+        field for record in report.errors
+        for field in (record.error, record.stage, record.quantity,
+                      record.detail))
     slots.append(report.degraded)
-    return _TEXT_TEMPLATE % tuple(slots)
+    return _text_template(len(report.errors)) % tuple(slots)
 
 
 def emit_report(report: WatchReport, format: str = "json") -> str:

@@ -46,6 +46,8 @@ from daywatch.io import (
     _LAYOUT,
     CSV_HEADER,
     SWEEP_COLUMNS,
+    _json_template,
+    _text_template,
     report_as_dict,
     sweep_row,
 )
@@ -559,6 +561,25 @@ class TestByteIdentity:
         assert emit_report(edited) == reference_json(edited)
         assert emit_report(edited, "text") == reference_text(edited)
 
+    def test_every_error_count_matches_the_reference(self, baseline):
+        # each _step adds at most one record, so a report holds 0 to 23
+        # and each count has its own template
+        report = run_watch(baseline)
+        kinds = (ErrorRecord("grid-analysis", "u_p", "NonFiniteResult",
+                             "évaluation ≠ finie €"),
+                 ErrorRecord("watch", "p_miss_raw", "NegativeMissRadicand",
+                             "100%s %d %% of\x00it", -2.5e-300),
+                 ErrorRecord("lyapunov", "perm_a", "NonPositivePermanent",
+                             ESCAPED_DATE, 0.0))
+        assert kinds[0].value is None
+        for count in range(24):
+            edited = report._replace(errors=tuple(
+                itertools.islice(itertools.cycle(kinds), count)))
+            assert emit_report(edited) == reference_json(edited)
+            assert emit_report(edited, "text") == reference_text(edited)
+        assert _json_template.cache_info().currsize <= 24
+        assert _text_template.cache_info().currsize <= 24
+
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     def test_non_finite_leaf_is_refused(self, baseline, value):
         report = run_watch(baseline)
@@ -690,16 +711,20 @@ class TestSweep:
                 assert row["error"] is None
 
 
-def child_env():
+def child_env(unbuffered=False):
     """The environment of a child that imports the daywatch under test.
 
     The child sees the same daywatch as this test, whether pytest found it
-    through PYTHONPATH or through its own pythonpath setting.
+    through PYTHONPATH or through its own pythonpath setting.  Its stdout
+    is unbuffered (as under python -u) if asked, and buffered otherwise,
+    whatever PYTHONUNBUFFERED this test runs under.
     """
     source = str(Path(daywatch.__file__).parents[1])
     path = os.pathsep.join(filter(None, [source,
                                          os.environ.get("PYTHONPATH")]))
-    return {**os.environ, "PYTHONPATH": path}
+    env = {**os.environ, "PYTHONPATH": path}
+    env.pop("PYTHONUNBUFFERED", None)
+    return {**env, "PYTHONUNBUFFERED": "1"} if unbuffered else env
 
 
 def run_child(*args):
@@ -1198,14 +1223,55 @@ class TestCli:
                 < io.DEFAULT_BUFFER_SIZE + longest
         assert 0 < sizes[-1] < io.DEFAULT_BUFFER_SIZE + longest
 
-    @pytest.mark.parametrize("name", ["run", "sweep"])
-    def test_closed_stdout_ends_quietly(self, tmp_path, name):
-        child = subprocess.Popen(
-            [sys.executable, "-m", "daywatch",
-             *self.command(tmp_path, name, 3000)],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env())
-        assert len(child.stdout.read(100)) == 100
-        child.stdout.close()  # as `| head -c 100` does
+    def test_first_report_leaves_at_once_when_stdout_is_buffered(
+            self, tmp_path, monkeypatch, baseline):
+        class Raw(io.RawIOBase):  # stdout's file, under its buffers
+            def __init__(self):
+                self.written = bytearray()
+
+            def writable(self):
+                return True
+
+            def write(self, data):
+                self.written += data
+                return len(data)
+
+        # stdout as Python opens it without -u: a text layer that holds
+        # its writes back over a buffered file
+        raw = Raw()
+        monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(
+            io.BufferedWriter(raw), encoding="utf-8", write_through=False))
+        held = []  # what the file holds as the second record is read
+
+        def records(stream, format):
+            yield 1, baseline
+            held.append(bytes(raw.written))
+            yield 2, baseline
+
+        monkeypatch.setattr(daywatch.cli, "parse_records", records)
+        assert main(["run", "--input", self.baseline_csv(tmp_path)]) == 2
+        assert held == [emit_report(run_watch(baseline)).encode()]
+
+    @pytest.mark.parametrize("unbuffered", [True, False],
+                             ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize("name", ["run", "sweep", "check"])
+    def test_closed_stdout_ends_quietly(self, tmp_path, name, unbuffered):
+        env = child_env(unbuffered)
+        if name == "check":
+            # check writes only at its end, so its reader goes first
+            reader, writer = os.pipe()
+            os.close(reader)
+            child = subprocess.Popen(
+                [sys.executable, "-m", "daywatch", "check"],
+                stdout=writer, stderr=subprocess.PIPE, env=env)
+            os.close(writer)
+        else:
+            child = subprocess.Popen(
+                [sys.executable, "-m", "daywatch",
+                 *self.command(tmp_path, name, 3000)],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+            assert len(child.stdout.read(100)) == 100
+            child.stdout.close()  # as `| head -c 100` does
         stderr = child.stderr.read()
         child.stderr.close()
         assert child.wait() == 141
@@ -1296,7 +1362,13 @@ class TestCli:
         ([1.0], [1.0, 2.0], ": length 1 != 2"),
         ("low", "high", ": 'low' != 'high'"),
         (True, 0.5, ": True != 0.5"),
-    ], ids=["object", "keys", "array", "length", "string", "bool"])
+        # a bool equals only a bool, even where Python's == says otherwise
+        (True, 1, ": True != 1"),
+        (1.0, True, ": 1.0 != True"),
+        (False, 0, ": False != 0"),
+        ({"a": True}, {"a": 1}, ".a: True != 1"),
+    ], ids=["object", "keys", "array", "length", "string", "bool",
+            "true-one", "one-true", "false-zero", "nested-bool"])
     def test_golden_comparison_names_each_mismatch(self, actual, expected,
                                                    message):
         assert payload_mismatches(actual, expected) == [message]
@@ -1313,6 +1385,19 @@ class TestCli:
         assert result.detail == ("emitted JSON does not decode to the "
                                  "report; repeated runs are not "
                                  "byte-identical")
+
+    def test_golden_check_fails_on_a_flag_written_as_a_number(
+            self, monkeypatch):
+        def emit(report):
+            payload = report_as_dict(report)
+            flag = next(iter(payload["flags"]))
+            payload["flags"][flag] = int(payload["flags"][flag])
+            return json.dumps(payload)
+
+        monkeypatch.setattr(daywatch.checks, "emit_report", emit)
+        result = daywatch.checks.check_golden()
+        assert result.passed is False
+        assert result.detail == "emitted JSON does not decode to the report"
 
     def test_module_entry_point(self):
         completed = run_child("-m", "daywatch", "check")
@@ -1373,8 +1458,9 @@ class TestCli:
     @pytest.mark.parametrize("format", ["csv", "json"])
     def test_only_json_input_or_output_loads_json(self, tmp_path, command,
                                                   output, format):
-        # the JSON writer is built on the first JSON report, so a sweep or
-        # a text report of CSV input never imports json
+        # the JSON template and encoder are built on the first JSON
+        # report, so a sweep or a text report of CSV input never imports
+        # json
         argv = self.one_day_argv(tmp_path, command, format)
         if output is not None:
             argv += ["--output", output]
