@@ -13,6 +13,9 @@ domain preconditions failed.
                                        t24=22.8, k_c=1, c_0=38, delta=1))
     print(report.states.threat_level, report.degraded)  # low True
 
+This root names what a user of the watch handles: the records, enums,
+errors and six entry points.  Each formula is imported from its module.
+
 The built-in self-checks, daywatch.checks, load on first use: a run or a
 sweep does not pay for them.
 """
@@ -34,24 +37,8 @@ from .errors import (
     ValidationError,
     Violation,
 )
-from .grid_analysis import (
-    QUENCH_CONSTANT,
-    OperatingState,
-    ThreatLevel,
-    classify_grid,
-    classify_market,
-    critical_distance,
-    elliptic_distance,
-    energy_potential,
-    hyperbolic_distance,
-    quenched_probability,
-    star_reliability,
-    threat_level,
-    trade_volume,
-    triangle_reliability,
-)
-from .grid_model import second_pair, separability
-from .inputs import InputParameters, scale_times, validate
+from .grid_analysis import OperatingState, ThreatLevel
+from .inputs import InputParameters, validate
 from .io import (
     SweepEntry,
     SweepSpec,
@@ -60,16 +47,11 @@ from .io import (
     report_as_dict,
     sweep,
 )
-from .lyapunov import build_matrix, permanent
 from .watch import (
     ReportFlags,
     RunConfig,
     StateClassification,
     WatchReport,
-    false_alarm,
-    fourth_probability,
-    half_chain,
-    miss_probability,
     run_watch,
 )
 

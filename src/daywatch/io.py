@@ -27,18 +27,20 @@ name and the rest from the report, and puts them in layout order with
 one permutation made at import.  Each report is one fill of a template
 chosen by its error count, at most 23 (_json_template, _text_template),
 with its leaf values, each state as it is, and its error records' fields
-spliced in at the errors slot, in one flat tuple.  The JSON templates,
-the encoder (_json_encode) and the json module itself are made on the
-first JSON report, so a sweep or a text report never loads json for its
-output.  The JSON is byte-identical to
+spliced in at the errors slot, in one flat tuple.  A JSON template is
+the stdlib's own json.dumps(indent=2) of the layout nested as in
+report_as_dict (_nest), with a NUL in every slot and "\u0000" then
+replaced by %s.  The templates, the encoder (_json_encode) and the json
+module itself are made on the first JSON report, so a sweep or a text
+report never loads json for its output.  The JSON is byte-identical to
 json.dumps(report_as_dict(report), indent=2, allow_nan=False) + "\n":
 one call of the stdlib's C encoder writes every leaf and every
 error-record field of a report as a flat array with NUL as its item
 separator, and the array is split on NUL into the template's slots.  A
 NUL inside a string comes out escaped as \u0000, so the split is exact,
-and a non-finite float raises ValueError.  json.dumps with an indent is
-not called because any indent makes CPython 3.11 fall back to its
-pure-Python encoder, which took longer than computing the report.
+and a non-finite float raises ValueError.  json.dumps with an indent
+builds templates alone because any indent makes CPython 3.11 fall back
+to its pure-Python encoder, which took longer than computing the report.
 
 Sweeps stream: sweep yields each point's entry as soon as it is evaluated,
 so a caller writes each sweep_row as it goes and holds one report at a time.
@@ -104,6 +106,8 @@ _scalar_leaves = operator.itemgetter(*map(WatchReport._fields.index, _SCALARS))
 _trace_leaves = operator.itemgetter(*_TRACED)
 _in_layout_order = operator.itemgetter(*map((_OWNED + _TRACED).index,
                                             _LEAVES))
+_text_fields = operator.itemgetter(*map(ErrorRecord._fields.index, (
+    "error", "stage", "quantity", "detail")))
 
 
 def _parse_csv(lines: Iterable[str]) -> Iterator[tuple[int, InputParameters]]:
@@ -166,13 +170,17 @@ def _values(report: WatchReport) -> tuple:
                              *_trace_leaves(report.trace)))
 
 
-def report_as_dict(report: WatchReport) -> dict:
-    """Nested dicts in serialization order; states are str-enum members."""
-    values = iter(_values(report))
-    errors = [record._asdict() for record in report.errors]
-    return {section: {key: errors if key == "errors" else next(values)
+def _nest(leaves: Iterator, errors: list) -> dict:
+    """The leaves, in _LAYOUT order, and the errors as nested dicts."""
+    return {section: {key: errors if key == "errors" else next(leaves)
                       for key in keys}
             for section, keys in _LAYOUT}
+
+
+def report_as_dict(report: WatchReport) -> dict:
+    """Nested dicts in serialization order; states are str-enum members."""
+    return _nest(iter(_values(report)),
+                 [record._asdict() for record in report.errors])
 
 
 @functools.cache
@@ -189,18 +197,10 @@ def _text_template(count: int) -> str:
 def _json_template(count: int) -> str:
     """json.dumps(report_as_dict(report), indent=2) with every leaf and
     every field of the report's count error records a %s slot."""
-    from json.encoder import encode_basestring_ascii as encode_string
-
-    def fields(keys: tuple[str, ...], indent: str, errors: str = "") -> str:
-        return ",\n".join(f"{indent}{encode_string(key)}: "
-                           f"{errors if key == 'errors' else '%s'}"
-                           for key in keys)
-
-    error = "      {\n" + fields(ErrorRecord._fields, "        ") + "\n      }"
-    errors = "[\n" + ",\n".join([error] * count) + "\n    ]" if count else "[]"
-    return "{\n" + ",\n".join(
-        f"  {encode_string(section)}: {{\n{fields(keys, '    ', errors)}\n  }}"
-        for section, keys in _LAYOUT) + "\n}\n"
+    import json
+    error = dict.fromkeys(ErrorRecord._fields, "\x00")
+    return json.dumps(_nest(itertools.repeat("\x00"), [error] * count),
+                      indent=2).replace('"\\u0000"', "%s") + "\n"
 
 
 @functools.cache
@@ -226,10 +226,9 @@ def _emit_text(report: WatchReport) -> str:
     # a line break or other control character in a date would forge lines
     if isinstance(date, str) and not date.isprintable():
         slots[_DATE_SLOT] = repr(date)
-    slots[_ERRORS_SLOT:_ERRORS_SLOT] = (
-        field for record in report.errors
-        for field in (record.error, record.stage, record.quantity,
-                      record.detail))
+    if report.errors:
+        slots[_ERRORS_SLOT:_ERRORS_SLOT] = itertools.chain.from_iterable(
+            map(_text_fields, report.errors))
     slots.append(report.degraded)
     return _text_template(len(report.errors)) % tuple(slots)
 

@@ -17,11 +17,11 @@ from daywatch import (
     NonPositiveGap,
     NonPositivePotential,
     OperatingState,
-    QUENCH_CONSTANT,
     ThreatLevel,
     run_watch,
 )
 from daywatch.grid_analysis import (
+    QUENCH_CONSTANT,
     REGULARIZER,
     STAR_COEFFS,
     STAR_ROOT_ORDER,

@@ -1480,7 +1480,7 @@ class TestCli:
 def test_public_surface_is_what_the_package_imports():
     # __all__ is derived from the names __init__ imports, not listed twice
     names = daywatch.__all__
-    assert names == sorted(names) and len(names) == 49
+    assert names == sorted(names) and len(names) == 28
     assert not any(isinstance(getattr(daywatch, name), types.ModuleType)
                    for name in names)
     namespace = {}
@@ -1490,6 +1490,35 @@ def test_public_surface_is_what_the_package_imports():
     assert daywatch.StateClassification.__module__ == "daywatch.watch"
     with pytest.raises(ModuleNotFoundError):
         importlib.import_module("daywatch.config")
+    # the root names the watch; each formula has one path, its module's
+    removed = {"inputs": "scale_times",
+               "lyapunov": "build_matrix permanent",
+               "grid_model": "second_pair separability",
+               "grid_analysis": "QUENCH_CONSTANT energy_potential "
+               "elliptic_distance hyperbolic_distance critical_distance "
+               "star_reliability triangle_reliability quenched_probability "
+               "trade_volume classify_market classify_grid threat_level",
+               "watch": "false_alarm half_chain fourth_probability "
+               "miss_probability"}
+    for module, listed in removed.items():
+        for name in listed.split():
+            assert hasattr(getattr(daywatch, module), name)
+            assert not hasattr(daywatch, name)
+    values = list(map(vars(daywatch).get, names))
+    formulas = [getattr(daywatch.watch, name)
+                for name in removed["watch"].split()]
+    for module in ("lyapunov", "grid_model", "grid_analysis"):
+        formulas += [
+            value for name, value in vars(getattr(daywatch, module)).items()
+            if name.isupper() or isinstance(value, types.FunctionType)
+            and value.__module__ == f"daywatch.{module}"]
+    assert not any(value is formula
+                   for value in values for formula in formulas)
+    assert {value for value in values
+            if isinstance(value, types.FunctionType)} == {
+        daywatch.inputs.validate, daywatch.watch.run_watch,
+        daywatch.io.emit_report, daywatch.io.report_as_dict,
+        daywatch.io.parse_records, daywatch.io.sweep}
 
 
 @pytest.mark.parametrize("module", ["lyapunov", "grid_model", "grid_analysis"])

@@ -7,13 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from daywatch import (
-    ExponentialOverflow,
-    NonPositivePermanent,
-    run_watch,
-    scale_times,
-)
+from daywatch import ExponentialOverflow, NonPositivePermanent, run_watch
 from daywatch.checks import exact_permanent
+from daywatch.inputs import scale_times
 from daywatch.lyapunov import (
     build_matrix,
     droop_exponent,

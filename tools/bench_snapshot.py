@@ -9,11 +9,11 @@ Runs `python3 bench/run.py` once per workload and seed, with the run
 length BENCHMARK.json sets, so that every BENCH file is comparable, and
 writes to this checkout's root a JSON file holding the commit (and
 whether src/ differs from it), the src/ line count, whether
-PYTHONDONTWRITEBYTECODE is set, whether src/ held byte code before the
-runs and how many CPUs the runs may use and,
-per workload, the seeds, each end-to-end metric's per-seed values with
-their median and quartiles, the attempted and failed record counts, and
-whether every run's output was correct.
+PYTHONDONTWRITEBYTECODE and PYTHONUNBUFFERED are set, whether src/ held
+byte code before the runs, how many CPUs the runs may use, the Python
+version and, per workload, the seeds, each end-to-end metric's per-seed
+values with their median and quartiles, the attempted and failed record
+counts, and whether every run's output was correct.
 With --trace-seed, one `--trace 1` run per workload on that seed adds
 the per-layer metrics.
 
@@ -32,6 +32,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
 import statistics
 import subprocess
 import sys
@@ -127,6 +128,11 @@ def checkout(root: Path) -> dict:
         # setup_s reads lower than a fresh clone's
         "src_bytecode": any((root / "src").rglob("__pycache__/*.pyc")),
         "cpus": len(os.sched_getaffinity(0)),
+        # set, stdout is unbuffered: its write sizes change, and peak_rss_mb
+        # follows them through bench/launcher.py
+        "unbuffered": bool(os.environ.get("PYTHONUNBUFFERED")),
+        # compile and float.__repr__ speed depend on the interpreter
+        "python": platform.python_version(),
     }
 
 
