@@ -6,9 +6,12 @@ Exit codes
     2   at least one record degraded: errors, anomaly flags, or
         inadmissible parameter values; or an option value was bad
     3   the input could not be read, or a row of it could not be parsed
-        (the reports of the rows before it are still written, for JSON
-        as for CSV, since both are read one record at a time)
     141 stdout was closed early (128 + SIGPIPE), by any command
+
+Whatever the code, a command writes out what it made before it stopped:
+run the reports of the rows before an unparseable one (for JSON as for
+CSV, since both are read one record at a time), sweep its header and the
+rows of the points evaluated before a failure.
 
 The first problem found sets the code, in this order: a usage error
 (2, from argparse), an input file that cannot be opened (3), a bad
@@ -101,6 +104,7 @@ class _Blocks(io.StringIO):
     The first block goes out, flushed, as soon as it holds a piece (a
     report, or a sweep's header and first row), so the first output is
     not held back; every later block once it reaches a buffer's size.
+    Leaving the `with` block sends the rest, also when a command fails.
     """
 
     full = 1  # the first piece fills the first block
@@ -114,14 +118,15 @@ class _Blocks(io.StringIO):
                 sys.stdout.flush()
             self.full = io.DEFAULT_BUFFER_SIZE
 
-    def send_rest(self) -> None:
+    def __exit__(self, *exc_info) -> None:
         sys.stdout.write(self.getvalue())
         sys.stdout.flush()  # a closed stdout shows here, not at exit
+        super().__exit__(*exc_info)
 
 
-def _cmd_run(args, config, records) -> int:
-    out, any_degraded = _Blocks(), False
-    try:
+def _cmd_run(output, config, records) -> int:
+    any_degraded = False
+    with _Blocks() as out:
         for row, record in records:
             try:
                 report = run_watch(record, config)
@@ -131,38 +136,29 @@ def _cmd_run(args, config, records) -> int:
                 any_degraded = True
                 continue
             any_degraded = any_degraded or report.degraded
-            out.write(emit_report(report, args.output))
+            out.write(emit_report(report, output))
             out.send_if_full()
             del report  # hold none while the next record is evaluated
-    finally:  # the reports made before a parse error still go out
-        out.send_rest()
     return EXIT_DEGRADED if any_degraded else EXIT_OK
 
 
-def _cmd_sweep(args, config, records) -> int:
-    try:
-        spec = SweepSpec(parameter=args.param, start=args.start,
-                         stop=args.stop, steps=args.steps)
-    except ValueError as exc:
-        print(f"daywatch: {exc}", file=sys.stderr)
-        return EXIT_DEGRADED
+def _cmd_sweep(spec, config, records) -> int:
     _, base = next(records, (None, None))  # the only record read
     if base is None:
         print("daywatch: sweep needs at least one base record",
               file=sys.stderr)
         return EXIT_UNPARSEABLE
-    # only rows outlive a step, so one report at a time is alive
-    out = _Blocks()
-    # the writer fills the block itself, with no Python-level write per row
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(SWEEP_COLUMNS)
     degraded = SWEEP_COLUMNS.index("degraded")
     clean = True
-    for row in map(sweep_row, sweep(base, spec, config)):
-        writer.writerow(row)  # csv writes None as ""
-        out.send_if_full()
-        clean = clean and not row[degraded]
-    out.send_rest()
+    # only rows outlive a step, so one report at a time is alive
+    with _Blocks() as out:
+        # the writer fills the block itself: no Python-level write per row
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(SWEEP_COLUMNS)
+        for row in map(sweep_row, sweep(base, spec, config)):
+            writer.writerow(row)  # csv writes None as ""
+            out.send_if_full()
+            clean = clean and not row[degraded]
     return EXIT_OK if clean else EXIT_DEGRADED
 
 
@@ -170,10 +166,10 @@ def _cmd_check() -> int:
     from .checks import run_all  # loaded by this command alone
 
     results = run_all()
-    for result in results:
-        status = "PASS" if result.passed else "FAIL"
-        print(f"{status}  {result.name}: {result.detail}")
-    sys.stdout.flush()  # a closed stdout shows here, not at exit
+    with _Blocks() as out:
+        for result in results:
+            status = "PASS" if result.passed else "FAIL"
+            print(f"{status}  {result.name}: {result.detail}", file=out)
     return EXIT_OK if all(r.passed for r in results) else EXIT_CHECK_FAILED
 
 
@@ -193,18 +189,19 @@ def main(argv: list[str] | None = None) -> int:
             try:
                 config = RunConfig(equality_tolerance=args.tolerance,
                                    up_log_mode=args.up_log_mode)
+                if args.command == "sweep":
+                    spec = SweepSpec(parameter=args.param, start=args.start,
+                                     stop=args.stop, steps=args.steps)
             except ValueError as exc:
                 print(f"daywatch: {exc}", file=sys.stderr)
                 return EXIT_DEGRADED
-            command = _cmd_run if args.command == "run" else _cmd_sweep
-            return command(args, config, parse_records(handle, args.format))
+            records = parse_records(handle, args.format)
+            if args.command == "run":
+                return _cmd_run(args.output, config, records)
+            return _cmd_sweep(spec, config, records)
     except (UnicodeDecodeError, ParseError) as exc:
         print(f"daywatch: unparseable input: {exc}", file=sys.stderr)
         return EXIT_UNPARSEABLE
     except BrokenPipeError:  # reader gone: the exit-time flush goes nowhere
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -733,6 +733,19 @@ def run_child(*args):
                           text=True, env=child_env())
 
 
+class Recorder:
+    """An unbuffered stdout: each write goes out alone, and is kept."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
 
 class TestCli:
     def write(self, tmp_path, name, text):
@@ -1190,17 +1203,6 @@ class TestCli:
     ], ids=["run", "sweep"])
     def test_writes_in_blocks(self, tmp_path, monkeypatch, name, points,
                               piece):
-        class Recorder:  # an unbuffered stdout: each write goes out alone
-            def __init__(self):
-                self.writes = []
-
-            def write(self, text):
-                self.writes.append(text)
-                return len(text)
-
-            def flush(self):
-                pass
-
         stdout = Recorder()
         monkeypatch.setattr(sys, "stdout", stdout)
         assert main(self.command(tmp_path, name, points)) == 2
@@ -1222,6 +1224,39 @@ class TestCli:
             assert io.DEFAULT_BUFFER_SIZE <= size \
                 < io.DEFAULT_BUFFER_SIZE + longest
         assert 0 < sizes[-1] < io.DEFAULT_BUFFER_SIZE + longest
+
+    def test_sweep_that_fails_part_way_writes_its_rows(self, tmp_path,
+                                                      capsys, monkeypatch):
+        argv = self.command(tmp_path, "sweep", 1001)
+        main(argv)
+        made = capsys.readouterr().out.splitlines()[:51]
+        real = daywatch.cli.sweep
+
+        def failing(base, spec, config):
+            yield from itertools.islice(real(base, spec, config), 50)
+            raise RuntimeError("the 51st point")
+
+        monkeypatch.setattr(daywatch.cli, "sweep", failing)
+        with pytest.raises(RuntimeError, match="the 51st point"):
+            main(argv)
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == ",".join(SWEEP_COLUMNS)
+        assert lines == made  # the header and the 50 rows made
+
+    def test_check_writes_its_lines_at_once(self, monkeypatch):
+        real, results = daywatch.checks.run_all, []
+
+        def run_all():
+            results.extend(real())
+            return results
+
+        monkeypatch.setattr(daywatch.checks, "run_all", run_all)
+        stdout = Recorder()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(["check"]) == 0
+        assert len(results) == 3
+        assert stdout.writes == ["".join(
+            f"PASS  {result.name}: {result.detail}\n" for result in results)]
 
     def test_first_report_leaves_at_once_when_stdout_is_buffered(
             self, tmp_path, monkeypatch, baseline):

@@ -21,10 +21,13 @@ With --pair PARENT CHANGE, the runs are made in those two checkouts
 instead, each seed once in each, and the side that runs first alternates
 from seed to seed: the first run of a pair tends to read faster, and
 where a checkout lies can move its figures too, so the two should be
-fresh clones in sibling directories.  Each side gets the figures above,
-and each end-to-end metric the number of seeds on which the change did
-better than the parent and two verdicts (see verdicts): whether the
-change showed a gain, and whether it stayed within the metric's bound.
+fresh clones in sibling directories.  A side whose src/ already holds
+byte code would start without compiling src/, and its setup_s would not
+compare, so such a pairing is refused before any run, naming that side.
+Each side gets the figures above, and each end-to-end metric the number
+of seeds on which the change did better than the parent and two verdicts
+(see verdicts): whether the change showed a gain, and whether it stayed
+within the metric's bound.
 """
 
 from __future__ import annotations
@@ -158,6 +161,11 @@ def paired(spec: dict, seeds: list[int], trace_seed: int | None,
            roots: dict[str, Path]) -> dict:
     """The figures of the parent and the change, run in alternating pairs."""
     sides = {side: checkout(root) for side, root in roots.items()}
+    for side, figures in sides.items():
+        if figures["src_bytecode"]:
+            raise SystemExit(f"bench_snapshot: the {side} checkout "
+                             f"{roots[side]} holds byte code in src/; "
+                             "pair fresh clones")
     seconds, workloads = spec["run_seconds"], {}
     for workload in (w["name"] for w in spec["workloads"]):
         runs: dict[str, list[dict]] = {"parent": [], "change": []}
