@@ -44,6 +44,8 @@ to its pure-Python encoder, which took longer than computing the report.
 
 Sweeps stream: sweep yields each point's entry as soon as it is evaluated,
 so a caller writes each sweep_row as it goes and holds one report at a time.
+Its indices argument, a range, evaluates a run of the points alone, so
+two processes can share one sweep.
 
 SweepSpec and SweepEntry are named tuples, like the reports they carry.
 A SweepSpec checks its fields however it is made, _replace and _make
@@ -297,18 +299,33 @@ class SweepEntry(NamedTuple):
 
 
 def sweep(base: InputParameters, spec: SweepSpec,
-          config: RunConfig | None = None) -> Iterator[SweepEntry]:
-    """Evaluate the pipeline at every sweep point of one parameter.
+          config: RunConfig | None = None, *,
+          indices: range | None = None) -> Iterator[SweepEntry]:
+    """Evaluate the pipeline at sweep points of one parameter.
 
-    Yields exactly spec.steps entries in sweep order, each as soon as its
-    point is evaluated; a point whose record is inadmissible yields an
-    error entry instead of aborting the sweep.
+    Yields one entry per index of indices, in their order, each as soon as
+    its point is evaluated: by default range(spec.steps), so exactly
+    spec.steps entries in sweep order.  A point whose record is
+    inadmissible yields an error entry instead of aborting the sweep.
+    Raises ValueError, before any point is evaluated, for an index outside
+    range(spec.steps), and TypeError for indices that are not a range.
     """
+    if indices is None:
+        indices = range(spec.steps)
+    elif not isinstance(indices, range):
+        raise TypeError(f"indices must be a range, got {indices!r}")
+    elif indices and not (0 <= min(indices[0], indices[-1])
+                          and max(indices[0], indices[-1]) < spec.steps):
+        raise ValueError(f"indices {indices!r} leave range({spec.steps})")
+    return _sweep(base, spec, config, indices)
+
+
+def _sweep(base, spec, config, indices) -> Iterator[SweepEntry]:
     # each point is the base's fields with the swept one in its place,
     # made as _replace would make it but without a keyword call per point
     swept = FIELD_ORDER.index(spec.parameter)
     make, head, tail = base._make, base[:swept], base[swept + 1:]
-    for index in range(spec.steps):
+    for index in indices:
         value = spec.value_at(index)
         try:
             entry = SweepEntry(value, run_watch(make((*head, value, *tail)),

@@ -678,6 +678,28 @@ class TestSweep:
             assert entry.report == run_watch(point)
         assert admissible >= 5
 
+    @pytest.mark.parametrize("indices", [
+        range(3, 7), range(10), range(9, -1, -2), range(4, 4)])
+    def test_indices_evaluate_those_points_alone(self, clean, indices):
+        spec = SweepSpec(parameter="delta", start=0.0, stop=1.0, steps=10)
+        every = list(sweep(clean, spec))
+        assert list(sweep(clean, spec, indices=indices)) \
+            == [every[index] for index in indices]
+
+    @pytest.mark.parametrize("indices", [
+        range(-1, 3), range(8, 11), range(10, 11), range(12, 0, -1)])
+    def test_indices_outside_the_sweep_are_refused(self, clean, indices):
+        spec = SweepSpec(parameter="delta", start=0.0, stop=1.0, steps=10)
+        with pytest.raises(ValueError, match="range.10."):
+            sweep(clean, spec, indices=indices)  # at once, not when iterated
+
+    def test_indices_are_a_keyword_range(self, clean):
+        spec = SweepSpec(parameter="delta", start=0.0, stop=1.0, steps=10)
+        with pytest.raises(TypeError):
+            sweep(clean, spec, None, range(3))
+        with pytest.raises(TypeError, match="range"):
+            sweep(clean, spec, indices=[0, 1])
+
     def test_inadmissible_points_become_error_entries(self, clean):
         spec = SweepSpec(parameter="t6_1", start=0.0, stop=1.0, steps=3)
         entries = list(sweep(clean, spec))
@@ -731,6 +753,43 @@ def run_child(*args):
     """Run the interpreter with args, importing the daywatch under test."""
     return subprocess.run([sys.executable, *args], capture_output=True,
                           text=True, env=child_env())
+
+
+# python -m daywatch as if this process could run on as many CPUs as its
+# first argument counts, whatever the host has; it then names on stderr
+# any child process that it left behind
+ON_CPUS = """\
+import os, runpy, sys
+cpus = int(sys.argv.pop(1))
+os.sched_getaffinity = lambda pid: set(range(cpus))
+try:
+    runpy.run_module("daywatch", run_name="__main__", alter_sys=True)
+finally:
+    try:
+        print("left behind:", os.waitpid(-1, os.WNOHANG), file=sys.stderr)
+    except ChildProcessError:
+        pass
+"""
+
+
+def daywatch_on(cpus, *args):
+    """The argv of a daywatch command that sees cpus CPUs."""
+    return [sys.executable, "-c", ON_CPUS, str(cpus), *args]
+
+
+def two_cpus(monkeypatch):
+    """Let daywatch see two CPUs in this process, so a sweep forks."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+
+
+def no_child_left():
+    """Whether this process has no child, running or waiting to be reaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
 
 
 class Recorder:
@@ -1203,6 +1262,7 @@ class TestCli:
     ], ids=["run", "sweep"])
     def test_writes_in_blocks(self, tmp_path, monkeypatch, name, points,
                               piece):
+        two_cpus(monkeypatch)  # the worker's rows keep the same rule
         stdout = Recorder()
         monkeypatch.setattr(sys, "stdout", stdout)
         assert main(self.command(tmp_path, name, points)) == 2
@@ -1225,23 +1285,90 @@ class TestCli:
                 < io.DEFAULT_BUFFER_SIZE + longest
         assert 0 < sizes[-1] < io.DEFAULT_BUFFER_SIZE + longest
 
+    # the parent evaluates point 0 alone, then batches of 128 points from
+    # point 1 on, the even ones itself and the odd ones in the worker
+    @pytest.mark.parametrize("point", [50, 200],
+                             ids=["parent-batch", "worker-batch"])
     def test_sweep_that_fails_part_way_writes_its_rows(self, tmp_path,
-                                                      capsys, monkeypatch):
+                                                      capsys, monkeypatch,
+                                                      point):
+        two_cpus(monkeypatch)
         argv = self.command(tmp_path, "sweep", 1001)
         main(argv)
-        made = capsys.readouterr().out.splitlines()[:51]
+        made = capsys.readouterr().out.splitlines()[:point + 1]
         real = daywatch.cli.sweep
 
-        def failing(base, spec, config):
-            yield from itertools.islice(real(base, spec, config), 50)
-            raise RuntimeError("the 51st point")
+        def failing(base, spec, config, *, indices):
+            for index in indices:
+                if index == point:
+                    raise RuntimeError(f"point {index}")
+                yield from real(base, spec, config,
+                                indices=range(index, index + 1))
 
         monkeypatch.setattr(daywatch.cli, "sweep", failing)
-        with pytest.raises(RuntimeError, match="the 51st point"):
+        with pytest.raises(RuntimeError, match=f"point {point}"):
             main(argv)
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == ",".join(SWEEP_COLUMNS)
-        assert lines == made  # the header and the 50 rows made
+        assert lines == made  # the header and the rows before the point
+        assert no_child_left()
+
+    @pytest.mark.parametrize("degraded", [None, 50, 200],
+                             ids=["clean", "parent-batch", "worker-batch"])
+    @pytest.mark.parametrize("buffered", [False, True],
+                             ids=["unbuffered", "buffered"])
+    def test_forked_sweep_writes_the_rows_made_in_process(
+            self, tmp_path, monkeypatch, baseline, buffered, degraded):
+        two_cpus(monkeypatch)
+        forks = []
+        real_fork = os.fork
+
+        def fork():
+            pid = real_fork()
+            forks.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", fork)
+        # no real point is clean, so each row is clean but the one named
+        spec = SweepSpec(parameter="t16", start=5.0, stop=15.0, steps=1001)
+        column = SWEEP_COLUMNS.index("degraded")
+        flagged = None if degraded is None else spec.value_at(degraded)
+
+        def row_of(entry):
+            row = sweep_row(entry)
+            return (*row[:column], entry.value == flagged, *row[column + 1:])
+
+        monkeypatch.setattr(daywatch.cli, "sweep_row", row_of)
+        stdout = (io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+                  if buffered else Recorder())
+        monkeypatch.setattr(sys, "stdout", stdout)
+        code = main(self.command(tmp_path, "sweep", spec.steps))
+        out = (stdout.buffer.getvalue().decode() if buffered
+               else "".join(stdout.writes))
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(SWEEP_COLUMNS)
+        writer.writerows(map(row_of, sweep(baseline, spec)))
+        assert out == expected.getvalue()
+        assert code == (0 if degraded is None else 2)
+        assert len(forks) == 1  # one worker, which had four batches
+        assert no_child_left()
+
+    @pytest.mark.parametrize("unbuffered", [True, False],
+                             ids=["unbuffered", "buffered"])
+    def test_forked_sweep_is_the_one_cpu_sweep(self, tmp_path, unbuffered):
+        # past 48 h every point warns on stderr, and the worker's warnings
+        # come out through the parent, in point order
+        args = ["sweep", "--input", self.baseline_csv(tmp_path), "--param",
+                "t16", "--from", "40", "--to", "60", "--steps", "1200"]
+        forked, serial = (
+            subprocess.run(daywatch_on(cpus, *args), capture_output=True,
+                           env=child_env(unbuffered))
+            for cpus in (2, 1))
+        assert forked.stderr.count(b"exceeds 48.0 h") == 720
+        assert forked.returncode == serial.returncode == 2
+        assert forked.stdout == serial.stdout
+        assert forked.stderr == serial.stderr
 
     def test_check_writes_its_lines_at_once(self, monkeypatch):
         real, results = daywatch.checks.run_all, []
@@ -1297,20 +1424,19 @@ class TestCli:
             reader, writer = os.pipe()
             os.close(reader)
             child = subprocess.Popen(
-                [sys.executable, "-m", "daywatch", "check"],
+                daywatch_on(2, "check"),
                 stdout=writer, stderr=subprocess.PIPE, env=env)
             os.close(writer)
         else:
             child = subprocess.Popen(
-                [sys.executable, "-m", "daywatch",
-                 *self.command(tmp_path, name, 3000)],
+                daywatch_on(2, *self.command(tmp_path, name, 3000)),
                 stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
             assert len(child.stdout.read(100)) == 100
             child.stdout.close()  # as `| head -c 100` does
         stderr = child.stderr.read()
         child.stderr.close()
         assert child.wait() == 141
-        assert stderr == b""
+        assert stderr == b""  # and no process left behind
 
     def test_sweep_of_an_inadmissible_base_writes_error_rows(self, tmp_path,
                                                              capsys):
