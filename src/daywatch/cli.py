@@ -38,7 +38,6 @@ import argparse
 import contextlib
 import csv
 import io
-import itertools
 import marshal
 import os
 import sys
@@ -134,18 +133,6 @@ class _Blocks(io.StringIO):
             if self.full == 1:
                 sys.stdout.flush()
             self.full = io.DEFAULT_BUFFER_SIZE
-
-    def write_lines(self, text: str) -> None:
-        """Write whole lines, sending each block as it fills: the writes of
-        a write and a send_if_full per line, for one call per block."""
-        start = 0
-        while start < len(text):
-            # the line that fills this block ends at or past its last byte
-            fill = start + max(self.full - self.tell(), 1) - 1
-            end = text.find("\n", fill) + 1 or len(text)
-            self.write(text[start:end])
-            self.send_if_full()
-            start = end
 
     def __exit__(self, *exc_info) -> None:
         sys.stdout.write(self.getvalue())
@@ -300,18 +287,21 @@ def _cmd_sweep(spec, config, records) -> int:
         try:
             mine, theirs = ((batches[0::2], batches[1::2]) if worker
                             else (batches, []))
-            ahead = iter(theirs)  # the worker's batches not yet asked for
+            if theirs:
+                worker.ask(theirs[0])
             for number, indices in enumerate(mine):
                 # the worker holds two batches ahead of this one, so it
                 # has work while this one is evaluated and the reply
                 # before it goes out: at most two replies are in flight
-                for ask in itertools.islice(ahead, 1 + (number == 0)):
-                    worker.ask(ask)
+                if number + 1 < len(theirs):
+                    worker.ask(theirs[number + 1])
                 clean &= rows(out, indices)
                 if number < len(theirs):
                     text, ok, warned, failure = worker.reply()
                     sys.stderr.write(warned)
-                    out.write_lines(text)
+                    for line in io.StringIO(text):  # as rows() sends
+                        out.write(line)
+                        out.send_if_full()
                     if failure is not None:
                         # a row holds no line break: its one text column
                         # names error kinds and stages

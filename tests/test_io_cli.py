@@ -1363,7 +1363,7 @@ class TestCli:
                 "t16", "--from", "40", "--to", "60", "--steps", "1200"]
         forked, serial = (
             subprocess.run(daywatch_on(cpus, *args), capture_output=True,
-                           env=child_env(unbuffered))
+                           env=child_env(unbuffered), timeout=120)
             for cpus in (2, 1))
         assert forked.stderr.count(b"exceeds 48.0 h") == 720
         assert forked.returncode == serial.returncode == 2
