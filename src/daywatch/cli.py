@@ -22,23 +22,24 @@ header-only file with --steps 1 exits 2, not 3.
 run evaluates and writes one record at a time; an inadmissible record is
 named on stderr with its row number, and the batch goes on.
 
-sweep writes its header and first row at once, then takes the other
-points in batches of 128 consecutive ones.  Where os.fork exists, more
-than one CPU is usable and a second process would get two full batches
-or more, it forks one worker that evaluates every other batch and replies
-with its rows and what it wrote to stderr; the parent still writes every
-row and warning, in point order.  So stdout, stderr and the exit code
-are those of a sweep in one process, and memory is bounded by a batch,
-not by --steps.  No option selects this.
+sweep writes its header and first row at once, then each row as its
+point is evaluated.  Where os.fork exists, more than one CPU is usable
+and the sweep has 257 points or more, it forks one worker (see
+daywatch.worker) that evaluates every other batch of 128 consecutive
+points and replies with its rows and what it wrote to stderr; the parent
+still writes every row and warning, in point order.  So stdout, stderr and the
+exit code are those of a sweep in one process, and memory is bounded by
+a batch, not by --steps.  No option selects this.  A point that fails in
+the worker ends the sweep as it would in one process, after the rows
+before it, but the parent writes the worker's traceback on stderr and
+raises RuntimeError naming the point and the worker's exception.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import io
-import marshal
 import os
 import sys
 
@@ -62,11 +63,6 @@ EXIT_CHECK_FAILED = 1
 EXIT_DEGRADED = 2
 EXIT_UNPARSEABLE = 3
 EXIT_BROKEN_PIPE = 141
-
-# Sweep points per batch handed between the two processes of a sweep: a
-# few ms of work, and a reply of about 15 KB, so that two replies in
-# flight fit a 64 KiB pipe.
-_BATCH = 128
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -140,103 +136,6 @@ class _Blocks(io.StringIO):
         super().__exit__(*exc_info)
 
 
-class _Batch(io.StringIO):
-    """A worker's rows of one batch, kept whole for one reply."""
-
-    def send_if_full(self) -> None:
-        pass
-
-
-class _Worker:
-    """A forked process that evaluates the sweep batches its parent asks
-    for, one reply per batch, in the order asked.
-
-    A batch's rows come back as text with whether every row was clean,
-    what the batch wrote to stderr (long-day warnings), and the text of
-    the exception that stopped it early, or None.  The worker writes
-    nothing to stdout or stderr itself, so the parent writes every row
-    and warning in point order.  Both pipes carry marshal data, which
-    delimits itself.  The worker ends when the parent closes its end of
-    the pipes, and the parent reaps it in close().
-    """
-
-    def __init__(self, rows):
-        asks, self._asks = os.pipe()
-        replies, answers = os.pipe()
-        try:
-            self.pid = os.fork()
-        except OSError:
-            for end in (asks, self._asks, replies, answers):
-                os.close(end)
-            raise
-        if self.pid == 0:
-            try:
-                os.close(self._asks)
-                os.close(replies)
-                self._serve(open(asks, "rb"), open(answers, "wb"), rows)
-            finally:  # never back into the parent's code or its buffers
-                os._exit(0)
-        os.close(asks)
-        os.close(answers)
-        self._replies = open(replies, "rb")
-
-    @staticmethod
-    def _serve(asks, answers, rows) -> None:
-        # stdout's reader sees its end when the parent's copy closes
-        os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
-        while True:
-            try:
-                start, stop = marshal.load(asks)
-            except EOFError:  # the parent has closed its end
-                return
-            batch = _Batch()
-            sys.stderr = warned = io.StringIO()
-            clean, failure = False, None
-            try:
-                clean = rows(batch, range(start, stop))
-            except Exception as exc:  # the parent raises it, in point order
-                failure = f"{type(exc).__name__}: {exc}"
-            marshal.dump((batch.getvalue(), clean, warned.getvalue(),
-                          failure), answers)
-            answers.flush()
-
-    def ask(self, indices: range) -> None:
-        # a few bytes, written at once; a worker that has died shows at
-        # the next reply
-        with contextlib.suppress(BrokenPipeError):
-            os.write(self._asks, marshal.dumps((indices.start,
-                                                indices.stop)))
-
-    def reply(self) -> tuple:
-        try:
-            return marshal.load(self._replies)
-        except EOFError:
-            raise RuntimeError("the sweep's worker process ended "
-                               "without replying") from None
-
-    def close(self) -> None:
-        os.close(self._asks)
-        self._replies.close()
-        os.waitpid(self.pid, 0)
-
-
-def _start_worker(rows) -> _Worker | None:
-    """A worker for the rows of a sweep, or None where it cannot help: no
-    fork, or one usable CPU."""
-    if not hasattr(os, "fork"):
-        return None
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    if cpus < 2:
-        return None
-    try:
-        return _Worker(rows)
-    except OSError:  # no process to be had: the parent sweeps alone
-        return None
-
-
 def _cmd_run(output, config, records) -> int:
     any_degraded = False
     with _Blocks() as out:
@@ -278,40 +177,9 @@ def _cmd_sweep(spec, config, records) -> int:
     with _Blocks() as out:
         csv.writer(out, lineterminator="\n").writerow(SWEEP_COLUMNS)
         clean = rows(out, range(1))  # leaves with the header, at once
-        batches = [range(start, min(start + _BATCH, spec.steps))
-                   for start in range(1, spec.steps, _BATCH)]
-        # a worker costs about 2.5 ms to start and end: one batch of its
-        # own does not repay that, two full ones do
-        worker = (_start_worker(rows) if spec.steps > 4 * _BATCH
-                  else None)
-        try:
-            mine, theirs = ((batches[0::2], batches[1::2]) if worker
-                            else (batches, []))
-            if theirs:
-                worker.ask(theirs[0])
-            for number, indices in enumerate(mine):
-                # the worker holds two batches ahead of this one, so it
-                # has work while this one is evaluated and the reply
-                # before it goes out: at most two replies are in flight
-                if number + 1 < len(theirs):
-                    worker.ask(theirs[number + 1])
-                clean &= rows(out, indices)
-                if number < len(theirs):
-                    text, ok, warned, failure = worker.reply()
-                    sys.stderr.write(warned)
-                    for line in io.StringIO(text):  # as rows() sends
-                        out.write(line)
-                        out.send_if_full()
-                    if failure is not None:
-                        # a row holds no line break: its one text column
-                        # names error kinds and stages
-                        point = theirs[number].start + text.count("\n")
-                        raise RuntimeError(f"sweep point {point} failed in "
-                                           f"the worker process: {failure}")
-                    clean &= ok
-        finally:
-            if worker is not None:
-                worker.close()
+        from .worker import share_rows  # loaded by sweep alone
+
+        clean &= share_rows(out, rows, range(1, spec.steps))
     return EXIT_OK if clean else EXIT_DEGRADED
 
 

@@ -11,6 +11,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import types
 import weakref
 from importlib import resources
@@ -783,6 +784,20 @@ def two_cpus(monkeypatch):
                         raising=False)
 
 
+def count_forks(monkeypatch):
+    """The pids os.fork returns from now on in this process, one a call."""
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
 def no_child_left():
     """Whether this process has no child, running or waiting to be reaped."""
     try:
@@ -1308,10 +1323,19 @@ class TestCli:
         monkeypatch.setattr(daywatch.cli, "sweep", failing)
         with pytest.raises(RuntimeError, match=f"point {point}"):
             main(argv)
-        lines = capsys.readouterr().out.splitlines()
+        out, err = capsys.readouterr()
+        lines = out.splitlines()
         assert lines[0] == ",".join(SWEEP_COLUMNS)
         assert lines == made  # the header and the rows before the point
         assert no_child_left()
+        # the parent's own failure propagates as it is; the worker's comes
+        # with its traceback on stderr, ahead of the parent's RuntimeError
+        if point < 129:
+            assert err == ""
+        else:
+            assert re.fullmatch(r"(?s)Traceback \(most recent call last\):"
+                                r"\n.*, in failing\n.*"
+                                r"\nRuntimeError: point 200\n", err)
 
     @pytest.mark.parametrize("degraded", [None, 50, 200],
                              ids=["clean", "parent-batch", "worker-batch"])
@@ -1320,15 +1344,7 @@ class TestCli:
     def test_forked_sweep_writes_the_rows_made_in_process(
             self, tmp_path, monkeypatch, baseline, buffered, degraded):
         two_cpus(monkeypatch)
-        forks = []
-        real_fork = os.fork
-
-        def fork():
-            pid = real_fork()
-            forks.append(pid)
-            return pid
-
-        monkeypatch.setattr(os, "fork", fork)
+        forks = count_forks(monkeypatch)
         # no real point is clean, so each row is clean but the one named
         spec = SweepSpec(parameter="t16", start=5.0, stop=15.0, steps=1001)
         column = SWEEP_COLUMNS.index("degraded")
@@ -1352,6 +1368,54 @@ class TestCli:
         assert out == expected.getvalue()
         assert code == (0 if degraded is None else 2)
         assert len(forks) == 1  # one worker, which had four batches
+        assert no_child_left()
+
+    # point 0 goes alone, so from 257 points on the worker's first batch,
+    # points 129 to 256, is full; a shorter sweep ran no faster forked
+    @pytest.mark.parametrize("points, workers", [(256, 0), (257, 1)])
+    def test_sweep_forks_once_the_worker_gets_a_full_batch(
+            self, tmp_path, capsys, monkeypatch, baseline, points, workers):
+        two_cpus(monkeypatch)
+        forks = count_forks(monkeypatch)
+        spec = SweepSpec(parameter="t16", start=5.0, stop=15.0, steps=points)
+        assert main(self.command(tmp_path, "sweep", points)) == 2
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(SWEEP_COLUMNS)
+        writer.writerows(map(sweep_row, sweep(baseline, spec)))
+        assert capsys.readouterr().out == expected.getvalue()
+        assert len(forks) == workers
+        assert no_child_left()
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_a_huge_sweep_writes_its_first_rows_in_bounded_memory(
+            self, tmp_path, capsys, monkeypatch, cpus):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)), raising=False)
+        real = daywatch.cli.sweep
+
+        def failing(base, spec, config, *, indices):
+            for index in indices:
+                if index == 5:
+                    raise RuntimeError("stopped at point 5")
+                yield from real(base, spec, config,
+                                indices=range(index, index + 1))
+
+        monkeypatch.setattr(daywatch.cli, "sweep", failing)
+        argv = self.command(tmp_path, "sweep", 10**8)
+        importlib.import_module("daywatch.worker")  # not counted below
+        tracemalloc.start()
+        try:
+            with pytest.raises(RuntimeError, match="stopped at point 5"):
+                main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == ",".join(SWEEP_COLUMNS)
+        assert len(lines) == 6  # the header and points 0 to 4
+        # a list of the sweep's 781,250 batches alone would take 40 MB
+        assert peak < 1_000_000
         assert no_child_left()
 
     @pytest.mark.parametrize("unbuffered", [True, False],
